@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import operator
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -434,28 +435,81 @@ class _Token:
         self.dead = False
 
 
+# Serializes WmView materialization: HTTP handler threads may read the same
+# view at once, and each delta view must be copied once.
+_materialize_lock = threading.Lock()
+
+
 class WmView:
-    """Immutable working-memory view for snapshot queries."""
+    """Immutable working-memory view for snapshot queries.
 
-    __slots__ = ("_facts", "_by_template")
+    A view is either full (it owns a fact dict and per-template id sets) or a
+    delta: a parent view plus the facts changed since it (fid -> Fact, or
+    None for a retraction). A delta view becomes full the first time it is
+    read, by copying its nearest full ancestor and applying the deltas on the
+    way down, oldest first; it then drops its parent link.
+    """
 
-    def __init__(self, facts: dict[int, Fact], by_template: dict[str, set[int]]):
+    __slots__ = ("_facts", "_by_template", "_parent", "_delta", "_size")
+
+    def __init__(
+        self,
+        facts: dict[int, Fact] | None = None,
+        by_template: dict[str, set[int]] | None = None,
+        *,
+        parent: WmView | None = None,
+        delta: dict[int, Fact | None] | None = None,
+        size: int | None = None,
+    ):
         self._facts = facts
         self._by_template = by_template
+        self._parent = parent
+        self._delta = delta
+        self._size = len(facts) if size is None else size
+
+    def _materialize(self) -> None:
+        with _materialize_lock:
+            if self._parent is None:  # another reader got here first
+                return
+            deltas = []
+            v = self
+            while v._parent is not None:
+                deltas.append(v._delta)
+                v = v._parent
+            facts = dict(v._facts)
+            by_template = {k: set(ids) for k, ids in v._by_template.items()}
+            for delta in reversed(deltas):
+                for fid, f in delta.items():
+                    if f is None:
+                        by_template[facts.pop(fid).template.name].discard(fid)
+                    else:
+                        facts[fid] = f
+                        by_template.setdefault(f.template.name, set()).add(fid)
+            self._facts = facts
+            self._by_template = by_template
+            # readers test _parent without the lock: clear it last
+            self._delta = None
+            self._parent = None
 
     def fact(self, fid: int) -> Fact:
+        if self._parent is not None:
+            self._materialize()
         return self._facts[fid]
 
     def ids_for_template(self, name: str) -> Iterable[int]:
+        if self._parent is not None:
+            self._materialize()
         return self._by_template.get(name, ())
 
     def facts(self, template: str | None = None) -> list[Fact]:
+        if self._parent is not None:
+            self._materialize()
         if template is None:
             return [self._facts[i] for i in sorted(self._facts)]
         return [self._facts[i] for i in sorted(self._by_template.get(template, ()))]
 
     def __len__(self) -> int:
-        return len(self._facts)
+        return self._size
 
 
 # ============================================================
@@ -507,6 +561,14 @@ class Engine:
         self._dup: dict[tuple, int] = {}
         self._versions: dict[int, int] = {}
         self._next_id = 1
+
+        # snapshot publishing: the facts changed since the last published
+        # view (fid -> Fact, None for a retraction), the first id born after
+        # that view, and the delta entries published since the last full copy
+        self._view: WmView | None = None
+        self._changes: dict[int, Fact | None] = {}
+        self._view_next_id = 1
+        self._delta_entries = 0
 
         # match network state
         self._alpha_idx: dict[tuple[int, int], dict[tuple, set[int]]] = {}
@@ -699,8 +761,27 @@ class Engine:
         return build(fid, len(self.firelog) if before is None else before)
 
     def snapshot(self) -> WmView:
-        """Immutable view; later engine mutations are invisible to it."""
-        return WmView(dict(self._wm), {k: set(v) for k, v in self._by_template.items()})
+        """Immutable view; later engine mutations are invisible to it.
+
+        Costs O(facts changed since the previous snapshot): the view is a
+        delta on that one, copied in full when first read. A full copy is
+        taken here instead once the delta entries published since the last
+        one reach the WM size, so unread chains hold at most about one WM's
+        worth of entries.
+        """
+        changes = self._changes
+        if self._view is not None and not changes:
+            return self._view
+        self._delta_entries += len(changes)
+        if self._view is None or self._delta_entries >= len(self._wm):
+            view = WmView(dict(self._wm), {k: set(v) for k, v in self._by_template.items()})
+            self._delta_entries = 0
+        else:
+            view = WmView(parent=self._view, delta=changes, size=len(self._wm))
+        self._view = view
+        self._changes = {}
+        self._view_next_id = self._next_id
+        return view
 
     def fact(self, fid: int) -> Fact:
         f = self._wm.get(fid)
@@ -829,6 +910,7 @@ class Engine:
         fact.id = fid
         self._wm[fid] = fact
         self._by_template.setdefault(fact.template.name, set()).add(fid)
+        self._changes[fid] = fact
         self._dup[fact.key] = fid
         self._versions[fid] = 1
         self._tick += 1
@@ -840,6 +922,10 @@ class Engine:
     def _retract_internal(self, fid: int) -> None:
         fact = self._wm.pop(fid)
         self._by_template[fact.template.name].discard(fid)
+        if fid >= self._view_next_id:
+            del self._changes[fid]  # born since the last view, which never saw it
+        else:
+            self._changes[fid] = None
         del self._dup[fact.key]
         del self._versions[fid]
         self._tick += 1
@@ -855,6 +941,7 @@ class Engine:
         del self._dup[old.key]
         self._dup[new.key] = fid
         self._wm[fid] = new
+        self._changes[fid] = new
         self._versions[fid] += 1
         self._tick += 1
         self._teardown(fid)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -54,8 +55,9 @@ class Registry:
     persons: tuple[PersonEntry, ...]
     corridors: tuple[CorridorEntry, ...]
 
-    @property
+    @cached_property
     def by_device(self) -> dict[str, str]:
+        """Device address -> person name, built once per registry."""
         return {p.deviceAddress: p.name for p in self.persons}
 
 

@@ -9,6 +9,9 @@ Read-only HTTP endpoints over working-memory snapshots:
 Handlers never touch live engine state: the ingest loop (the single writer)
 publishes a fresh snapshot at each replay-cycle boundary via refresh(), and
 every request reads the snapshot plus the fire-log length captured with it.
+refresh() costs O(facts changed since the previous refresh): the published
+view records only those changes, and is copied in full the first time a
+request reads it.
 """
 
 from __future__ import annotations

@@ -60,6 +60,11 @@ def test_load_registry_from_dict():
     assert c.length == 20.0 and type(c.length) is float
 
 
+def test_device_index_is_built_once():
+    reg = load_registry(GOOD)
+    assert reg.by_device is reg.by_device
+
+
 def test_load_registry_from_json_text_and_path(tmp_path, registry_s1):
     assert load_registry(json.dumps(GOOD)) == load_registry(GOOD)
     p = tmp_path / "reg.json"
