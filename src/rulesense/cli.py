@@ -15,10 +15,10 @@ from pathlib import Path
 from . import lang
 from .engine import firelog_to_jsonl
 from .facts import KbError
-from .ingest import load_registry, replay, bootstrap
+from .ingest import load_registry, replay
 from .service import QueryService, ServiceConfig, coerce_arg
 from .simulator import generate, load_scenario
-from .tracking import build_tracking_kb, load_engine, shaped_query
+from .tracking import shaped_query, start_pipeline
 
 
 def _speed(s: str):
@@ -108,12 +108,9 @@ def _cmd_parse(args) -> int:
 
 
 def _load_pipeline(args):
-    kb_text = Path(args.kb).read_text(encoding="utf-8") if args.kb else build_tracking_kb()
-    engine = load_engine(kb_text, exclude_rules=args.exclude_rule)
+    kb_text = Path(args.kb).read_text(encoding="utf-8") if args.kb else None
     reg = load_registry(args.registry)
-    bootstrap(engine, reg)
-    engine.run()
-    return engine, reg
+    return start_pipeline(reg, kb_text, args.exclude_rule), reg
 
 
 def _cmd_run(args) -> int:

@@ -3,8 +3,15 @@
 Working memory with set semantics, incremental two-phase matching (per-template
 alpha filtering on literal constraints, then left-to-right beta joins on shared
 variables with per-join memories), an agenda ordered by salience / recency /
-insertion sequence, refraction, a replayable fire log, on-demand queries, and
-derivation trees.
+insertion sequence, a replayable fire log, on-demand queries, and derivation
+trees.
+
+Refraction (an activation fires at most once) needs no memory of fired
+activations. Every activation a mutation creates contains the mutated fact:
+an assert's fact has a fresh id, so its combinations are new, and a modify
+tears the fact's alpha entries and tokens down before it re-propagates, so
+every combination it creates holds the new version. No mutation can
+re-create an activation that already fired.
 
 Determinism contract: insertion sequence is a pure function of history. After
 every primitive WM mutation (one assert, retract, or modify), all activations
@@ -84,12 +91,8 @@ class ValidationFailed(KbError):
 # expression evaluation
 # ============================================================
 
-_ARITH = ("+", "-", "*", "/")
-_CMP = ("<", ">", "<=", ">=")
-
-
-def _numeric(v: object) -> bool:
-    return type(v) in (int, float)
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_CMP = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
 
 
 def eval_expr(e: lang.Expr, bindings: Mapping[str, object]) -> object:
@@ -98,88 +101,17 @@ def eval_expr(e: lang.Expr, bindings: Mapping[str, object]) -> object:
     Arithmetic on non-numeric operands raises RuntimeEvalError; comparisons on
     non-numeric operands are plain false. Division always yields float.
     """
-    if isinstance(e, lang.Literal):
-        return e.value
-    if isinstance(e, lang.Var):
-        try:
-            return bindings[e.name]
-        except KeyError:
-            raise RuntimeEvalError(f"unbound variable ?{e.name}") from None
-    op = e.op
-    args = [eval_expr(a, bindings) for a in e.args]
-    if op in _ARITH:
-        if len(args) < 2:
-            raise RuntimeEvalError(f"{op} needs at least 2 arguments")
-        for a in args:
-            if not _numeric(a):
-                raise RuntimeEvalError(f"arithmetic on non-number {a!r}")
-        try:
-            if op == "+":
-                acc = args[0]
-                for a in args[1:]:
-                    acc = acc + a
-            elif op == "-":
-                acc = args[0]
-                for a in args[1:]:
-                    acc = acc - a
-            elif op == "*":
-                acc = args[0]
-                for a in args[1:]:
-                    acc = acc * a
-            else:  # / always float
-                acc = args[0]
-                for a in args[1:]:
-                    acc = acc / a
-                acc = float(acc)
-        except ZeroDivisionError:
-            raise RuntimeEvalError("division by zero") from None
-        except OverflowError:
-            raise RuntimeEvalError("arithmetic overflow") from None
-        return acc
-    if op in _CMP:
-        if len(args) < 2:
-            raise RuntimeEvalError(f"{op} needs at least 2 arguments")
-        for a in args:
-            if not _numeric(a):
-                return False
-        for x, y in zip(args, args[1:]):
-            if op == "<" and not x < y:
-                return False
-            if op == ">" and not x > y:
-                return False
-            if op == "<=" and not x <= y:
-                return False
-            if op == ">=" and not x >= y:
-                return False
-        return True
-    if op in ("eq", "neq"):
-        if len(args) < 2:
-            raise RuntimeEvalError(f"{op} needs at least 2 arguments")
-        keys = []
-        for a in args:
-            if not is_slot_value(a):
-                raise RuntimeEvalError(f"{op} on non-slot-value {a!r}")
-            keys.append(value_key(a))
-        if op == "eq":
-            return all(k == keys[0] for k in keys[1:])
-        return all(k != keys[0] for k in keys[1:])
-    raise RuntimeEvalError(f"unknown operator {op}")
-
-
-def _test_passes(expr: lang.FuncCall, bindings: Mapping[str, object]) -> bool:
-    # An eval error inside an LHS test filters the match; it never aborts a run.
-    try:
-        return eval_expr(expr, bindings) is True
-    except RuntimeEvalError:
-        return False
+    return _compile_value(e)(bindings)
 
 
 def _compile_value(e: lang.Expr):
-    """Close an expression into a thunk of the bindings.
+    """Close an expression into a thunk of the bindings: the engine's one
+    evaluator, for tests, RHS actions and top-level asserts alike.
 
-    Variable reads and literals cover nearly every RHS slot, so they get
-    direct closures; anything else defers to eval_expr and must behave
-    identically to it.
+    Every operand is evaluated, left to right, before the operator checks
+    any of them, so the first error an expression raises does not depend on
+    its operator. Two-operand comparisons and eq/neq, which are nearly all
+    LHS tests, get their own closures.
     """
     if type(e) is lang.Literal:
         v = e.value
@@ -194,7 +126,94 @@ def _compile_value(e: lang.Expr):
                 raise RuntimeEvalError(f"unbound variable ?{name}") from None
 
         return read
-    return lambda b, e=e: eval_expr(e, b)
+    op = e.op
+    gets = tuple(_compile_value(a) for a in e.args)
+    if len(gets) < 2 or (op not in _ARITH and op not in _CMP and op not in ("eq", "neq")):
+        msg = f"{op} needs at least 2 arguments" if op in lang.OPS else f"unknown operator {op}"
+
+        def fail(b, gets=gets, msg=msg):
+            for g in gets:
+                g(b)
+            raise RuntimeEvalError(msg)
+
+        return fail
+    if op in _ARITH:
+        fn = _ARITH[op]
+
+        def arith(b, gets=gets, fn=fn):
+            args = [g(b) for g in gets]
+            for a in args:
+                if type(a) not in (int, float):
+                    raise RuntimeEvalError(f"arithmetic on non-number {a!r}")
+            acc = args[0]
+            try:
+                for a in args[1:]:
+                    acc = fn(acc, a)
+            except ZeroDivisionError:
+                raise RuntimeEvalError("division by zero") from None
+            except OverflowError:
+                raise RuntimeEvalError("arithmetic overflow") from None
+            return acc
+
+        return arith
+    if op in _CMP:
+        cmp = _CMP[op]
+        if len(gets) == 2:
+            ga, gb = gets
+
+            def cmp2(b, ga=ga, gb=gb, cmp=cmp):
+                x = ga(b)
+                y = gb(b)
+                if type(x) not in (int, float) or type(y) not in (int, float):
+                    return False
+                return cmp(x, y)
+
+            return cmp2
+
+        def cmpn(b, gets=gets, cmp=cmp):
+            args = [g(b) for g in gets]
+            for a in args:
+                if type(a) not in (int, float):
+                    return False
+            return all(cmp(x, y) for x, y in zip(args, args[1:]))
+
+        return cmpn
+    want = op == "eq"
+    if len(gets) == 2:
+        ga, gb = gets
+
+        def eq2(b, ga=ga, gb=gb, want=want, op=op):
+            x = ga(b)
+            y = gb(b)
+            for a in (x, y):
+                if not is_slot_value(a):
+                    raise RuntimeEvalError(f"{op} on non-slot-value {a!r}")
+            return (value_key(x) == value_key(y)) is want
+
+        return eq2
+
+    def eqn(b, gets=gets, want=want, op=op):
+        keys = []
+        for a in [g(b) for g in gets]:
+            if not is_slot_value(a):
+                raise RuntimeEvalError(f"{op} on non-slot-value {a!r}")
+            keys.append(value_key(a))
+        if want:
+            return all(k == keys[0] for k in keys[1:])
+        return all(k != keys[0] for k in keys[1:])
+
+    return eqn
+
+
+def _tests_ok(tests: tuple, bindings: Mapping[str, object]) -> bool:
+    # An eval error inside an LHS test filters the match; it never aborts a run.
+    try:
+        for t in tests:
+            if t(bindings) is not True:
+                return False
+    except RuntimeEvalError:
+        return False
+    return True
 
 
 def _compile_slot_value(e: lang.Expr):
@@ -207,48 +226,6 @@ def _compile_slot_value(e: lang.Expr):
         return v
 
     return slot_value
-
-
-_CMP_FUNCS = {"<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge}
-
-
-def _compile_test(expr: lang.FuncCall):
-    """Specialize the common two-operand tests; anything else falls back to
-    the evaluator, keeping _test_passes the single source of truth."""
-    args = expr.args
-    if len(args) == 2 and all(type(a) in (lang.Var, lang.Literal) for a in args):
-        ga = _compile_value(args[0])
-        gb = _compile_value(args[1])
-        cmp = _CMP_FUNCS.get(expr.op)
-        if cmp is not None:
-
-            def cmp_test(b, ga=ga, gb=gb, cmp=cmp):
-                try:
-                    x = ga(b)
-                    y = gb(b)
-                except RuntimeEvalError:
-                    return False
-                if type(x) not in (int, float) or type(y) not in (int, float):
-                    return False
-                return cmp(x, y)
-
-            return cmp_test
-        if expr.op in ("eq", "neq"):
-            want = expr.op == "eq"
-
-            def eq_test(b, ga=ga, gb=gb, want=want):
-                try:
-                    x = ga(b)
-                    y = gb(b)
-                except RuntimeEvalError:
-                    return False
-                if not is_slot_value(x) or not is_slot_value(y):
-                    return False
-                same = value_key(x) == value_key(y)
-                return same if want else not same
-
-            return eq_test
-    return lambda b, expr=expr: _test_passes(expr, b)
 
 
 def _compile_action(action, templates: TemplateRegistry):
@@ -292,12 +269,14 @@ class _CPattern:
         self.jvars: tuple[str, ...] = ()
         self.jslots: tuple[str, ...] = ()
 
-    def match(self, fact: Fact) -> dict | None:
+    def match(self, fact: Fact, bindings: dict | None = None) -> dict | None:
+        """Bindings of this pattern's variables in `fact`, extending a copy of
+        `bindings` if given; None if the fact does not match under them."""
         vals = fact.values
         for slot, key in self.literals:
             if value_key(vals[slot]) != key:
                 return None
-        b: dict[str, object] = {}
+        b: dict[str, object] = {} if bindings is None else dict(bindings)
         for slot, var in self.var_slots:
             v = vals[slot]
             if var in b:
@@ -310,19 +289,21 @@ class _CPattern:
         return b
 
 
-def _compile_lhs(lhs: tuple) -> tuple[list[_CPattern], dict[int, list[lang.FuncCall]]]:
+def _compile_lhs(lhs: tuple) -> tuple[list[_CPattern], tuple[tuple, ...]]:
+    """Patterns, and the compiled tests to run as each join level completes
+    (index 0 holds the tests of a rule without patterns)."""
     patterns: list[_CPattern] = []
-    tests: dict[int, list[lang.FuncCall]] = {}
-    level = 0
+    tests: list[list] = [[]]
     for ce in lhs:
         if isinstance(ce, lang.Pattern):
-            level += 1
             patterns.append(_CPattern(ce))
+            tests.append([])
         else:
-            tests.setdefault(level, []).append(ce.expr)
-    if patterns and 0 in tests:
+            tests[-1].append(_compile_value(ce.expr))
+    if patterns:
         # constant tests ahead of the first pattern gate the first join level
-        tests.setdefault(1, [])[0:0] = tests.pop(0)
+        tests[1][0:0] = tests[0]
+        tests[0] = []
     # join variables: those of each pattern already bound by earlier patterns
     bound: set[str] = set()
     for pat in patterns:
@@ -335,18 +316,17 @@ def _compile_lhs(lhs: tuple) -> tuple[list[_CPattern], dict[int, list[lang.FuncC
         pat.jvars = tuple(seen)
         pat.jslots = tuple(slots)
         bound.update(v for _, v in pat.var_slots)
-    return patterns, tests
+    return patterns, tuple(tuple(ts) for ts in tests)
 
 
 class _CRule:
-    __slots__ = ("name", "index", "salience", "patterns", "tests", "ctests", "prog", "k")
+    __slots__ = ("name", "index", "salience", "patterns", "tests", "prog", "k")
 
     def __init__(self, index: int, r: lang.RuleDef, templates: TemplateRegistry):
         self.name = r.name
         self.index = index
         self.salience = r.salience
         self.patterns, self.tests = _compile_lhs(r.lhs)
-        self.ctests = {lvl: tuple(_compile_test(t) for t in ts) for lvl, ts in self.tests.items()}
         self.prog = tuple(_compile_action(a, templates) for a in r.rhs)
         self.k = len(self.patterns)
 
@@ -576,11 +556,9 @@ class Engine:
         self._fact_alpha: dict[int, list[tuple[int, int, tuple]]] = {}
         self._fact_tokens: dict[int, list[_Token]] = {}
 
-        # agenda and refraction
+        # agenda
         self._agenda: list = []
         self._act_seq = 0
-        self._fired: set[tuple[int, tuple]] = set()
-        self._fired_by_fact: dict[int, set[tuple[int, tuple]]] = {}
         self._pending: list = []
 
         # fire log
@@ -592,16 +570,14 @@ class Engine:
         self._tick += 1
         self._pending = []
         for cr in self._rules:
-            if cr.k == 0:
-                ok = all(_test_passes(t, {}) for t in cr.tests.get(0, []))
-                if ok:
-                    self._pending.append((cr.index, (), {}))
+            if cr.k == 0 and _tests_ok(cr.tests[0], {}):
+                self._pending.append((cr.index, (), {}))
         self._flush_pending()
 
         # top-level asserts become initial facts, in source order, after the
         # whole network is built (so no rule misses them)
         for spec in staged:
-            values = {slot: self._rhs_value(e, {}) for slot, e in spec.slots}
+            values = {slot: _compile_slot_value(e)({}) for slot, e in spec.slots}
             self.assert_fact(spec.template, values)
 
     # ---------------- public API ----------------
@@ -695,12 +671,10 @@ class Engine:
                 rows.append(QueryRow(bindings, ids))
                 return
             pat = q.patterns[lvl - 1]
-            tests = q.tests.get(lvl, ())
+            tests = q.tests[lvl]
             for fid in sorted(view.ids_for_template(pat.template)):
-                b2 = _match_under(pat, view.fact(fid), bindings)
-                if b2 is None:
-                    continue
-                if tests and not all(_test_passes(t, b2) for t in tests):
+                b2 = pat.match(view.fact(fid), bindings)
+                if b2 is None or not _tests_ok(tests, b2):
                     continue
                 walk(lvl + 1, b2, ids + (fid,))
 
@@ -837,18 +811,8 @@ class Engine:
             self._produced_seqs.setdefault(fid, []).append(e.seq)
         return e
 
-    def _rhs_value(self, e: lang.Expr, bindings: Mapping[str, object]) -> SlotValue:
-        v = eval_expr(e, bindings)
-        if v is True or v is False or not is_slot_value(v):
-            raise RuntimeEvalError(f"not a slot value: {v!r}")
-        return v
-
     def _fire(self, ri: int, ids: tuple, bindings: dict) -> None:
         rule = self._rules[ri]
-        key = (ri, ids)
-        self._fired.add(key)
-        for fid in ids:
-            self._fired_by_fact.setdefault(fid, set()).add(key)
         local = dict(bindings)
         produced: list[int] = []
         retracted: list[int] = []
@@ -950,9 +914,11 @@ class Engine:
         self._flush_pending()
 
     def _teardown(self, fid: int) -> None:
-        """Remove fid from refraction memory, alpha buckets, and join tokens."""
-        for key in self._fired_by_fact.pop(fid, ()):
-            self._fired.discard(key)
+        """Remove fid from alpha buckets and join tokens.
+
+        A modify calls this before it re-propagates the new version, which is
+        why refraction needs no memory of fired activations (module docstring).
+        """
         for ri, lvl, akey in self._fact_alpha.pop(fid, ()):
             idx = self._alpha_idx.get((ri, lvl))
             if idx is not None:
@@ -990,7 +956,7 @@ class Engine:
             if contrib is None:
                 continue
             if lvl == 1:
-                if not self._tests_ok(rule, 1, contrib):
+                if not _tests_ok(rule.tests[1], contrib):
                     continue
                 if rule.k == 1:
                     pending.append((ri, (fid,), contrib))
@@ -1006,7 +972,7 @@ class Engine:
                         if parent.dead:
                             continue
                         merged = {**parent.bindings, **contrib}
-                        if not self._tests_ok(rule, lvl, merged):
+                        if not _tests_ok(rule.tests[lvl], merged):
                             continue
                         ids = parent.ids + (fid,)
                         if lvl == rule.k:
@@ -1028,11 +994,8 @@ class Engine:
             return
         for fid2 in sorted(bucket):
             fact2 = self._wm[fid2]
-            contrib = nxt_pat.match(fact2)
-            if contrib is None:
-                continue
-            merged = {**bindings, **contrib}
-            if not self._tests_ok(rule, nxt, merged):
+            merged = nxt_pat.match(fact2, bindings)
+            if merged is None or not _tests_ok(rule.tests[nxt], merged):
                 continue
             ids2 = ids + (fid2,)
             if nxt == rule.k:
@@ -1049,15 +1012,6 @@ class Engine:
             if dead * 2 > len(lst):
                 self._fact_tokens[fid] = [t for t in lst if not t.dead]
 
-    def _tests_ok(self, rule: _CRule, lvl: int, bindings: dict) -> bool:
-        tests = rule.ctests.get(lvl)
-        if not tests:
-            return True
-        for t in tests:
-            if not t(bindings):
-                return False
-        return True
-
     def _flush_pending(self) -> None:
         pending = self._pending
         if not pending:
@@ -1065,32 +1019,11 @@ class Engine:
         self._pending = []
         pending.sort(key=lambda p: (p[0], p[1]))
         for ri, ids, bindings in pending:
-            if (ri, ids) in self._fired:
-                continue
             self._act_seq += 1
             rec = max(ids) if ids else 0
             vers = tuple(self._versions[f] for f in ids)
             rule = self._rules[ri]
             heappush(self._agenda, (-rule.salience, -rec, -self._act_seq, ri, ids, vers, bindings))
-
-
-def _match_under(pat: _CPattern, fact: Fact, bindings: dict) -> dict | None:
-    """Pattern match extending existing bindings (query evaluation path)."""
-    vals = fact.values
-    for slot, key in pat.literals:
-        if value_key(vals[slot]) != key:
-            return None
-    b = dict(bindings)
-    for slot, var in pat.var_slots:
-        v = vals[slot]
-        if var in b:
-            if value_key(b[var]) != value_key(v):
-                return None
-        else:
-            b[var] = v
-    if pat.address is not None:
-        b[pat.address] = fact.id
-    return b
 
 
 def _entry_fact(entry: FireLogEntry, fid: int) -> tuple[str, tuple]:

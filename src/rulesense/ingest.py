@@ -267,10 +267,7 @@ def replay(
         stats.records += 1
         try:
             rec = parse_record(json.loads(raw), lineno)
-        except json.JSONDecodeError:
-            stats.malformed += 1
-            continue
-        except MalformedRecord:
+        except (json.JSONDecodeError, MalformedRecord):
             stats.malformed += 1
             continue
         if last_t is not None and rec.t < last_t:

@@ -40,6 +40,14 @@ def load_engine(kb_text: str | None = None, exclude_rules: Iterable[str] = ()) -
     return load_kb(constructs)
 
 
+def start_pipeline(reg: Registry, kb_text: str | None = None, exclude_rules: Iterable[str] = ()) -> Engine:
+    """Load KB, seed registry facts, run to quiescence: ready for a feed."""
+    engine = load_engine(kb_text, exclude_rules)
+    bootstrap(engine, reg)
+    engine.run()
+    return engine
+
+
 def run_pipeline(
     reg: Registry,
     replay_source,
@@ -49,10 +57,8 @@ def run_pipeline(
     pass_unknown: bool = False,
     on_cycle=None,
 ) -> tuple[Engine, FeedStats]:
-    """Load KB, seed registry facts, replay the feed to quiescence."""
-    engine = load_engine(kb_text, exclude_rules)
-    bootstrap(engine, reg)
-    engine.run()
+    """start_pipeline, then replay the feed to quiescence."""
+    engine = start_pipeline(reg, kb_text, exclude_rules)
     stats = replay(replay_source, reg, engine, speed=speed, pass_unknown=pass_unknown, on_cycle=on_cycle)
     return engine, stats
 

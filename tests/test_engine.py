@@ -429,6 +429,42 @@ def test_rule_level_modify_collision_is_logged_not_raised():
     assert e.fact(b).value("n") == 2  # failed modify left the fact alone
 
 
+@pytest.mark.parametrize(
+    "rhs, error",
+    [
+        ("(bind ?z (/ ?n 0))", "RuntimeEvalError: division by zero"),
+        ("(bind ?z (+ ?n ?k))", "RuntimeEvalError: arithmetic on non-number a"),
+        ("(bind ?z (* ?n \"two\"))", "RuntimeEvalError: arithmetic on non-number 'two'"),
+        ("(bind ?z (- ?n))", "RuntimeEvalError: - needs at least 2 arguments"),
+        ("(bind ?z (< ?n))", "RuntimeEvalError: < needs at least 2 arguments"),
+        ("(bind ?z (eq ?n))", "RuntimeEvalError: eq needs at least 2 arguments"),
+        ("(bind ?z (+ 1" + "0" * 400 + " 0.5))", "RuntimeEvalError: arithmetic overflow"),
+        ("(bind ?z (eq (< ?n 2) ?n))", "RuntimeEvalError: eq on non-slot-value True"),
+        ("(bind ?z (neq ?n ?n (> ?n 2)))", "RuntimeEvalError: neq on non-slot-value False"),
+        ("(assert (Item (kind (< ?n 2))))", "RuntimeEvalError: not a slot value: True"),
+        ("(modify ?i (n (eq ?k ?k)))", "RuntimeEvalError: not a slot value: True"),
+        ("(bind ?z (< 1 2)) (assert (Item (n ?z)))", "RuntimeEvalError: not a slot value: True"),
+        # every operand is evaluated before the operator checks any of them
+        ("(bind ?z (eq (< 1 2) (+ 1 \"x\")))", "RuntimeEvalError: arithmetic on non-number 'x'"),
+        ("(bind ?z (+ ?k (/ ?n 0)))", "RuntimeEvalError: division by zero"),
+        ("(bind ?z (< (+ 1 ?k) \"x\"))", "RuntimeEvalError: arithmetic on non-number a"),
+        ("(retract ?i ?i)", "UnknownFactId: no live fact 1"),
+        ("(modify ?i (n 2))", "WouldDuplicate: update of fact 1 collides with live fact 2"),
+    ],
+)
+def test_rhs_error_text_in_the_fire_log(rhs, error):
+    e = eng(
+        f"""
+        (deftemplate Item (slot kind) (slot n))
+        (defrule bad ?i <- (Item (kind ?k) (n ?n)) (test (eq ?n 1)) => {rhs})
+        """
+    )
+    e.assert_fact("Item", {"kind": Symbol("a"), "n": 1})
+    e.assert_fact("Item", {"kind": Symbol("a"), "n": 2})
+    (entry,) = [x for x in e.run().entries if x.rule == "bad"]
+    assert entry.error == error
+
+
 # ------------------------------------------------------------
 # fire log and replay
 # ------------------------------------------------------------
