@@ -34,6 +34,7 @@ from .engine import (
     Engine,
     ExplainNode,
     FireLogEntry,
+    FireLogWriter,
     MissingParameter,
     NotDerived,
     QueryRow,
@@ -46,7 +47,6 @@ from .engine import (
     WmView,
     WouldDuplicate,
     firelog_to_jsonl,
-    load_kb,
     replay_firelog,
     wm_to_canonical_json,
 )

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 diagnostics or runtime errors, 2 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -13,7 +14,7 @@ import time
 from pathlib import Path
 
 from . import lang
-from .engine import firelog_to_jsonl
+from .engine import FireLogWriter
 from .facts import KbError
 from .ingest import load_registry, replay
 from .service import QueryService, ServiceConfig, coerce_arg
@@ -107,36 +108,40 @@ def _cmd_parse(args) -> int:
     return 0
 
 
-def _load_pipeline(args):
+def _load_pipeline(args, firelog=None):
     kb_text = Path(args.kb).read_text(encoding="utf-8") if args.kb else None
     reg = load_registry(args.registry)
-    return start_pipeline(reg, kb_text, args.exclude_rule), reg
+    return start_pipeline(reg, kb_text, args.exclude_rule, firelog), reg
 
 
 def _cmd_run(args) -> int:
     if args.delay_correction < 0:
         print("error: --delay-correction must be >= 0", file=sys.stderr)
         return 1
-    engine, reg = _load_pipeline(args)
     service = None
-    if args.serve is not None:
-        host, port = args.serve
-        service = QueryService(engine, ServiceConfig(host, port, args.delay_correction))
-        bound_host, bound_port = service.start()
-        print(f"serving on http://{bound_host}:{bound_port}", file=sys.stderr)
-    stats = replay(
-        args.replay,
-        reg,
-        engine,
-        speed=args.speed,
-        pass_unknown=args.pass_unknown,
-        on_cycle=service.refresh if service else None,
-    )
+    # the fire log streams into its file as entries are made; it is complete
+    # (and closed) once the replay is done
+    with contextlib.ExitStack() as files:
+        sink = None
+        if args.firelog:
+            sink = FireLogWriter(files.enter_context(open(args.firelog, "w", encoding="utf-8")))
+        engine, reg = _load_pipeline(args, sink)
+        if args.serve is not None:
+            host, port = args.serve
+            service = QueryService(engine, ServiceConfig(host, port, args.delay_correction))
+            bound_host, bound_port = service.start()
+            print(f"serving on http://{bound_host}:{bound_port}", file=sys.stderr)
+        stats = replay(
+            args.replay,
+            reg,
+            engine,
+            speed=args.speed,
+            pass_unknown=args.pass_unknown,
+            on_cycle=service.refresh if service else None,
+        )
     if service:
         service.refresh()
-    if args.firelog:
-        Path(args.firelog).write_text(firelog_to_jsonl(engine.firelog, engine.templates), encoding="utf-8")
-    print(json.dumps(dataclasses.asdict(stats)))
+    print(json.dumps({**dataclasses.asdict(stats), "fire_counts": engine.fire_counts}))
     if service:
         try:
             while True:

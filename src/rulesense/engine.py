@@ -6,6 +6,14 @@ variables with per-join memories), an agenda ordered by salience / recency /
 insertion sequence, a replayable fire log, on-demand queries, and derivation
 trees.
 
+Provenance lives on the facts, not in the log: each fact version's `why`
+names the rule, the fire-log seq and the consumed versions that made it, and
+a rule's modify of a fact it consumed folds the chain behind it. What no live
+fact reaches is freed, so memory does not grow with the feed, and a snapshot
+explains its own facts. The fire log is a sink the caller chooses: a list
+keeps every entry, a `FireLogWriter` streams them to a file, and None (the
+default) keeps nothing; per-rule counts are in `fire_counts` either way.
+
 Refraction (an activation fires at most once) needs no memory of fired
 activations. Every activation a mutation creates contains the mutated fact:
 an assert's fact has a fresh id, so its combinations are new, and a modify
@@ -25,7 +33,6 @@ from __future__ import annotations
 import json
 import operator
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Mapping
@@ -39,6 +46,7 @@ from .facts import (
     TemplateRegistry,
     UnknownSlot,
     UnknownTemplate,
+    Why,
     is_slot_value,
     make_fact,
     value_key,
@@ -367,8 +375,9 @@ class FireLogEntry:
     """One fire (or one external mutation, rule None).
 
     `facts` snapshots every produced id's content at that moment —
-    (id, template name, values in slot order) — which makes the log replayable
-    against an empty WM. `ts` is a logical mutation tick, not wall clock.
+    (id, template name, slot -> value in slot order) — which makes the log
+    replayable against an empty WM. `ts` is a logical mutation tick, not wall
+    clock.
     """
 
     seq: int
@@ -384,7 +393,7 @@ class FireLogEntry:
 @dataclass(slots=True)
 class RunResult:
     fired: int
-    entries: list
+    entries: list  # this run's log entries when the fire log is a list, else []
 
 
 @dataclass(frozen=True, slots=True)
@@ -400,6 +409,7 @@ class ExplainNode:
     values: dict
     rule: str | None  # None: externally asserted (leaf)
     seq: int
+    folded: int  # earlier modify-chain steps folded into this node
     children: tuple
 
 
@@ -500,7 +510,9 @@ class WmView:
 class Engine:
     """One knowledge base plus its working memory. Single-writer."""
 
-    def __init__(self, constructs: list[lang.Construct]):
+    def __init__(self, constructs: list[lang.Construct], firelog=None):
+        """Validate and compile `constructs`. `firelog` is the fire-log sink,
+        any object with `append` (a list keeps every entry); None keeps none."""
         diags = lang.validate_program(constructs)
         if diags:
             first = diags[0]
@@ -561,9 +573,12 @@ class Engine:
         self._act_seq = 0
         self._pending: list = []
 
-        # fire log
-        self.firelog: list[FireLogEntry] = []
-        self._produced_seqs: dict[int, list[int]] = {}
+        # fire log: the sink (iterable with len() when there is none), the
+        # next entry's seq, and fires per rule
+        self.firelog = () if firelog is None else firelog
+        self._log = None if firelog is None else firelog.append
+        self._seq = 0
+        self.fire_counts: dict[str, int] = {r.name: 0 for r in self._rules}
         self._tick = 0
 
         # rules with no positive patterns activate once at load
@@ -584,25 +599,18 @@ class Engine:
 
     def assert_fact(self, template: str, values: Mapping[str, SlotValue]) -> AssertResult:
         """Add a fact. Equal live fact present -> Duplicate, WM unchanged."""
-        t = self.templates.get(template)
-        fact = make_fact(t, values)
+        fact = make_fact(self.templates.get(template), values)
+        fact.why = Why(None, self._seq)
         res = self._assert_internal(fact)
         if res.created:
-            f = self._wm[res.fact_id]
-            self._append_log(
-                rule=None,
-                consumed=(),
-                produced=(res.fact_id,),
-                retracted=(),
-                facts=((res.fact_id, t.name, tuple(f.values[s] for s in t.slots)),),
-            )
+            self._external(produced=fact)
         return res
 
     def retract_fact(self, fid: int) -> None:
         if fid not in self._wm:
             raise UnknownFactId(f"no live fact {fid}")
         self._retract_internal(fid)
-        self._append_log(rule=None, consumed=(), produced=(), retracted=(fid,), facts=())
+        self._external(retracted=fid)
 
     def modify_fact(self, fid: int, updates: Mapping[str, SlotValue]) -> None:
         if fid not in self._wm:
@@ -618,20 +626,14 @@ class Engine:
             if not is_slot_value(v):
                 raise TypeError(f"slot {slot}: not a slot value: {v!r}")
             new_values[slot] = v
-        self._modify_internal(fid, new_values)
-        f = self._wm[fid]
-        self._append_log(
-            rule=None,
-            consumed=(),
-            produced=(fid,),
-            retracted=(),
-            facts=((fid, t.name, tuple(f.values[s] for s in t.slots)),),
-        )
+        self._modify_internal(fid, new_values, Why(None, self._seq))
+        self._external(produced=self._wm[fid])
 
     def run(self, limit: int | None = None) -> RunResult:
         """Fire until the agenda empties (or `limit` firings)."""
         fired = 0
-        log_start = len(self.firelog)
+        log = self.firelog
+        log_start = len(log) if isinstance(log, list) else None
         agenda = self._agenda
         while agenda and (limit is None or fired < limit):
             neg_sal, neg_rec, neg_seq, ri, ids, vers, bindings = heappop(agenda)
@@ -644,7 +646,7 @@ class Engine:
                 continue
             fired += 1
             self._fire(ri, ids, bindings)
-        return RunResult(fired, self.firelog[log_start:])
+        return RunResult(fired, [] if log_start is None else log[log_start:])
 
     def run_query(self, name: str, arguments: Mapping[str, SlotValue], view: WmView | None = None) -> list[QueryRow]:
         """Enumerate all fact combinations satisfying the query. WM untouched."""
@@ -681,58 +683,41 @@ class Engine:
         walk(1, base, ())
         return rows
 
-    def explain(self, fid: int, before: int | None = None) -> ExplainNode:
-        """Derivation tree: how `fid` came to be. Externally asserted -> leaf.
-
-        `before` bounds the search to log entries with seq < before (a
-        snapshot's log length), defaulting to the whole log.
+    def explain(self, fid: int, view: WmView | None = None) -> ExplainNode:
+        """Derivation tree of live fact `fid` in `view` (default: the live WM),
+        built from the `why` each fact version carries. Externally asserted
+        facts are leaves; a folded modify chain is one node whose children are
+        the version that opened the chain and the latest step's other inputs.
         """
-        memo: dict[tuple[int, int], ExplainNode] = {}
-
-        def producer_seq(f: int, before: int) -> int:
-            seqs = self._produced_seqs.get(f)
-            if not seqs:
-                raise NotDerived(f"fact {f} never appears in the fire log as produced")
-            pos = bisect_left(seqs, before) - 1
-            if pos < 0:
-                raise NotDerived(f"fact {f} has no producer before log entry {before}")
-            return seqs[pos]
-
-        def build(f: int, before: int) -> ExplainNode:
-            # iterative post-order so long modify chains cannot overflow the stack
-            root_key = (f, producer_seq(f, before))
-            stack: list[tuple[int, int]] = [root_key]
-            while stack:
-                f2, s2 = stack[-1]
-                if (f2, s2) in memo:
-                    stack.pop()
-                    continue
-                entry = self.firelog[s2]
-                child_keys = []
-                ready = True
-                if entry.rule is not None:
-                    for c in entry.consumed:
-                        ck = (c, producer_seq(c, s2))
-                        child_keys.append(ck)
-                        if ck not in memo:
-                            stack.append(ck)
-                            ready = False
-                if not ready:
-                    continue
+        try:
+            root = self._wm[fid] if view is None else view.fact(fid)
+        except KeyError:
+            raise NotDerived(f"no live fact {fid}") from None
+        # iterative post-order, so arbitrarily deep derivations cannot
+        # overflow the stack; versions shared by several parents are built once
+        memo: dict[int, ExplainNode] = {}
+        stack = [root]
+        while stack:
+            f = stack[-1]
+            if id(f) in memo:
                 stack.pop()
-                tname, values = _entry_fact(entry, f2)
-                t = self.templates.get(tname)
-                memo[(f2, s2)] = ExplainNode(
-                    fact_id=f2,
-                    template=tname,
-                    values=dict(zip(t.slots, values)),
-                    rule=entry.rule,
-                    seq=entry.seq,
-                    children=tuple(memo[ck] for ck in child_keys),
-                )
-            return memo[root_key]
-
-        return build(fid, len(self.firelog) if before is None else before)
+                continue
+            why = f.why
+            todo = [c for c in why.inputs if id(c) not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            memo[id(f)] = ExplainNode(
+                fact_id=f.id,
+                template=f.template.name,
+                values=dict(f.values),
+                rule=why.rule,
+                seq=why.seq,
+                folded=why.folded,
+                children=tuple(memo[id(c)] for c in why.inputs),
+            )
+        return memo[id(root)]
 
     def snapshot(self) -> WmView:
         """Immutable view; later engine mutations are invisible to it.
@@ -795,24 +780,31 @@ class Engine:
 
     # ---------------- internals ----------------
 
-    def _append_log(self, rule, consumed, produced, retracted, facts, error=None) -> FireLogEntry:
-        e = FireLogEntry(
-            seq=len(self.firelog),
-            rule=rule,
-            consumed=consumed,
-            produced=produced,
-            retracted=retracted,
-            ts=self._tick,
-            facts=facts,
-            error=error,
-        )
-        self.firelog.append(e)
-        for fid in produced:
-            self._produced_seqs.setdefault(fid, []).append(e.seq)
-        return e
+    def _external(self, produced: Fact | None = None, retracted: int | None = None) -> None:
+        """Count and log one external mutation (rule None)."""
+        seq = self._seq
+        self._seq += 1
+        if self._log is not None:
+            self._log(
+                FireLogEntry(
+                    seq=seq,
+                    rule=None,
+                    consumed=(),
+                    produced=() if produced is None else (produced.id,),
+                    retracted=() if retracted is None else (retracted,),
+                    ts=self._tick,
+                    facts=() if produced is None else (_logged(produced),),
+                )
+            )
 
     def _fire(self, ri: int, ids: tuple, bindings: dict) -> None:
         rule = self._rules[ri]
+        self.fire_counts[rule.name] += 1
+        seq = self._seq
+        self._seq += 1
+        wm = self._wm
+        why = Why(rule.name, seq, tuple(map(wm.__getitem__, ids)))
+        log = self._log
         local = dict(bindings)
         produced: list[int] = []
         retracted: list[int] = []
@@ -823,45 +815,49 @@ class Engine:
                 kind = step[0]
                 if kind == "assert":
                     for t, slots in step[1]:
-                        values = {slot: get(local) for slot, get in slots}
-                        res = self._assert_internal(make_fact(t, values))
-                        if res.created:
-                            f = self._wm[res.fact_id]
-                            produced.append(res.fact_id)
-                            snaps.append((res.fact_id, t.name, tuple(f.values[s] for s in t.slots)))
+                        fact = make_fact(t, {slot: get(local) for slot, get in slots})
+                        fact.why = why
+                        if self._assert_internal(fact).created:
+                            produced.append(fact.id)
+                            if log is not None:
+                                snaps.append(_logged(fact))
                 elif kind == "retract":
                     for var in step[1]:
                         fid = local[var]
-                        if fid not in self._wm:
+                        if fid not in wm:
                             raise UnknownFactId(f"no live fact {fid}")
                         self._retract_internal(fid)
                         retracted.append(fid)
                 elif kind == "modify":
                     fid = local[step[1]]
-                    if fid not in self._wm:
+                    if fid not in wm:
                         raise UnknownFactId(f"no live fact {fid}")
-                    old = self._wm[fid]
-                    t = old.template
-                    new_values = dict(old.values)
+                    new_values = dict(wm[fid].values)
                     for slot, get in step[2]:
                         new_values[slot] = get(local)
-                    self._modify_internal(fid, new_values)
-                    f = self._wm[fid]
+                    # validation makes every modified fact a consumed one
+                    self._modify_internal(fid, new_values, _fold(why, ids.index(fid)))
                     produced.append(fid)
-                    snaps.append((fid, t.name, tuple(f.values[s] for s in t.slots)))
+                    if log is not None:
+                        snaps.append(_logged(wm[fid]))
                 else:  # bind
                     local[step[1]] = step[2](local)
         except (RuntimeEvalError, UnknownFactId, WouldDuplicate) as exc:
             # abort this firing; effects already applied stay applied
             error = f"{type(exc).__name__}: {exc}"
-        self._append_log(
-            rule=rule.name,
-            consumed=ids,
-            produced=tuple(produced),
-            retracted=tuple(retracted),
-            facts=tuple(snaps),
-            error=error,
-        )
+        if log is not None:
+            log(
+                FireLogEntry(
+                    seq=seq,
+                    rule=rule.name,
+                    consumed=ids,
+                    produced=tuple(produced),
+                    retracted=tuple(retracted),
+                    ts=self._tick,
+                    facts=tuple(snaps),
+                    error=error,
+                )
+            )
 
     # ----- primitive mutations (each is one event) -----
 
@@ -896,9 +892,9 @@ class Engine:
         self._teardown(fid)
         # retraction creates no activations
 
-    def _modify_internal(self, fid: int, new_values: dict) -> None:
+    def _modify_internal(self, fid: int, new_values: dict, why: Why) -> None:
         old = self._wm[fid]
-        new = Fact(old.template, new_values, id=fid)
+        new = Fact(old.template, new_values, id=fid, why=why)
         hit = self._dup.get(new.key)
         if hit is not None and hit != fid:
             raise WouldDuplicate(f"update of fact {fid} collides with live fact {hit}")
@@ -1026,16 +1022,23 @@ class Engine:
             heappush(self._agenda, (-rule.salience, -rec, -self._act_seq, ri, ids, vers, bindings))
 
 
-def _entry_fact(entry: FireLogEntry, fid: int) -> tuple[str, tuple]:
-    for f, tname, values in entry.facts:
-        if f == fid:
-            return tname, values
-    raise NotDerived(f"log entry {entry.seq} does not carry fact {fid}")
+def _fold(why: Why, pos: int) -> Why:
+    """Provenance of the version a firing makes by modifying the fact it
+    consumed at `pos`. If that consumed version was itself made by modifying
+    its fact (its own inputs hold an older version of the same id), fold it:
+    point at the version that opened the chain and count one more step."""
+    prev = why.inputs[pos]
+    pw = prev.why
+    for opener in pw.inputs:
+        if opener.id == prev.id:
+            inputs = why.inputs[:pos] + (opener,) + why.inputs[pos + 1 :]
+            return Why(why.rule, why.seq, inputs, pw.folded + 1)
+    return why
 
 
-def load_kb(constructs: list[lang.Construct]) -> Engine:
-    """Build an engine from parsed constructs (validates first)."""
-    return Engine(constructs)
+def _logged(f: Fact) -> tuple:
+    # values is the fact's own dict, never mutated, in slot order
+    return (f.id, f.template.name, f.values)
 
 
 # ============================================================
@@ -1060,7 +1063,7 @@ def decode_value(obj: object) -> SlotValue:
     raise ValueError(f"not an encoded slot value: {obj!r}")
 
 
-def _entry_to_obj(e: FireLogEntry, registry: TemplateRegistry) -> dict:
+def _entry_to_obj(e: FireLogEntry) -> dict:
     obj: dict = {
         "seq": e.seq,
         "rule": e.rule,
@@ -1072,16 +1075,32 @@ def _entry_to_obj(e: FireLogEntry, registry: TemplateRegistry) -> dict:
     if e.facts:
         fmap = {}
         for fid, tname, values in e.facts:
-            slots = registry.get(tname).slots
-            fmap[str(fid)] = {"template": tname, "values": {s: encode_value(v) for s, v in zip(slots, values)}}
+            fmap[str(fid)] = {"template": tname, "values": {s: encode_value(v) for s, v in values.items()}}
         obj["facts"] = fmap
     if e.error:
         obj["error"] = e.error
     return obj
 
 
-def firelog_to_jsonl(entries: Iterable[FireLogEntry], registry: TemplateRegistry) -> str:
-    return "".join(json.dumps(_entry_to_obj(e, registry), separators=(",", ":")) + "\n" for e in entries)
+def _entry_line(e: FireLogEntry) -> str:
+    return json.dumps(_entry_to_obj(e), separators=(",", ":")) + "\n"
+
+
+def firelog_to_jsonl(entries: Iterable[FireLogEntry]) -> str:
+    return "".join(_entry_line(e) for e in entries)
+
+
+class FireLogWriter:
+    """Fire-log sink that writes each entry to a text stream as one JSON line
+    the moment it is made, in the format of `firelog_to_jsonl`."""
+
+    __slots__ = ("_write",)
+
+    def __init__(self, stream):
+        self._write = stream.write
+
+    def append(self, e: FireLogEntry) -> None:
+        self._write(_entry_line(e))
 
 
 def replay_firelog(jsonl: str) -> dict[int, tuple[str, dict]]:

@@ -128,20 +128,45 @@ class TemplateRegistry:
         return len(self._by_name)
 
 
-class Fact:
-    """One immutable fact. `id` is None until the engine asserts it.
+class Why:
+    """How one fact version came to be.
 
-    `key` is the precomputed identity of (template, slot values) used for
-    duplicate detection; it deliberately ignores `id`.
+    `rule` is the rule whose firing produced it (None for an external assert
+    or modify), `seq` that event's fire-log sequence number, and `inputs` the
+    fact versions the firing consumed, as they were when it fired. A version
+    made by a rule modifying a fact it consumed folds the modify chain behind
+    it: at that fact's position `inputs` holds the version that opened the
+    chain, and `folded` counts the earlier steps left out.
     """
 
-    __slots__ = ("id", "template", "values", "key")
+    __slots__ = ("rule", "seq", "inputs", "folded")
 
-    def __init__(self, template: Template, values: dict[str, SlotValue], id: int | None = None):
+    def __init__(self, rule: str | None, seq: int, inputs: tuple = (), folded: int = 0):
+        self.rule = rule
+        self.seq = seq
+        self.inputs = inputs
+        self.folded = folded
+
+
+class Fact:
+    """One immutable fact version. `id` is None until the engine asserts it.
+
+    `key` is the precomputed identity of (template, slot values) used for
+    duplicate detection; it deliberately ignores `id`. `why` is the version's
+    provenance, set by the engine; it holds only older versions, so the
+    provenance no live fact reaches is freed with it.
+    """
+
+    __slots__ = ("id", "template", "values", "key", "why")
+
+    def __init__(
+        self, template: Template, values: dict[str, SlotValue], id: int | None = None, why: Why | None = None
+    ):
         self.id = id
         self.template = template
         self.values = values
         self.key = (template.name, tuple(value_key(values[s]) for s in template.slots))
+        self.why = why
 
     def value(self, slot: str) -> SlotValue:
         try:

@@ -630,7 +630,7 @@ def format_program(constructs: list[Construct]) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
-    kind: str  # unknown-template | unknown-slot | unbound-variable | not-fact-address | address-in-expression | duplicate-rule | duplicate-template | unbound-parameter | top-level-variable
+    kind: str  # unknown-template | unknown-slot | unbound-variable | not-fact-address | address-in-expression | duplicate-rule | duplicate-template | unbound-parameter | top-level-variable | operator-arity
     target: str  # rule/query/construct name
     message: str
 
@@ -647,6 +647,17 @@ def _expr_vars(e: Expr) -> set[str]:
             out |= _expr_vars(a)
         return out
     return set()
+
+
+def _check_arity(name: str, e: Expr, diags: list[Diagnostic]) -> None:
+    """Every operator takes at least two operands; nested calls included."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, FuncCall):
+            if len(e.args) < 2:
+                diags.append(Diagnostic("operator-arity", name, f"{_fmt_expr(e)} needs at least 2 operands"))
+            stack.extend(e.args)
 
 
 def _check_pattern_slots(
@@ -699,6 +710,7 @@ def _validate_lhs(
                         )
                     bound.add(c.name)
         else:  # Test
+            _check_arity(name, ce.expr, diags)
             for v in _expr_vars(ce.expr):
                 if v in addresses:
                     diags.append(
@@ -715,6 +727,7 @@ def validate_rule(rule: RuleDef, registry: TemplateRegistry) -> list[Diagnostic]
     bound, addresses = _validate_lhs(rule.name, rule.lhs, registry, diags)
 
     def check_expr(e: Expr, where: str) -> None:
+        _check_arity(rule.name, e, diags)
         for v in _expr_vars(e):
             if v in addresses:
                 diags.append(Diagnostic("address-in-expression", rule.name, f"fact address ?{v} used in {where}"))
@@ -798,6 +811,7 @@ def validate_program(constructs: list[Construct]) -> list[Diagnostic]:
             for spec in c.facts:
                 _check_pattern_slots("(assert)", spec.template, [s for s, _ in spec.slots], registry, diags)
                 for _, e in spec.slots:
+                    _check_arity("(assert)", e, diags)
                     for v in _expr_vars(e):
                         diags.append(
                             Diagnostic("top-level-variable", "(assert)", f"?{v} cannot appear outside a rule")

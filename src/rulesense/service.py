@@ -8,10 +8,15 @@ Read-only HTTP endpoints over working-memory snapshots:
 
 Handlers never touch live engine state: the ingest loop (the single writer)
 publishes a fresh snapshot at each replay-cycle boundary via refresh(), and
-every request reads the snapshot plus the fire-log length captured with it.
-refresh() costs O(facts changed since the previous refresh): the published
-view records only those changes, and is copied in full the first time a
-request reads it.
+every request reads that snapshot. refresh() costs O(facts changed since the
+previous refresh): the published view records only those changes, and is
+copied in full the first time a request reads it.
+
+Explain answers from the snapshot too: each fact version it holds carries its
+own provenance (`Fact.why`), so a served tree stays as it was published until
+the next refresh, and no fire log is read. Trees are as deep as a fact's
+history; they are built and written as JSON without recursion, so depth can
+not fail a request.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .engine import (
     NotDerived,
     UnknownParameter,
     UnknownQuery,
+    WmView,
 )
 from .facts import UnknownTemplate
 from .tracking import render_value, shaped_query
@@ -60,15 +66,37 @@ def coerce_arg(s: str):
     return s
 
 
-def explain_to_obj(node: ExplainNode) -> dict:
-    return {
-        "fact_id": node.fact_id,
-        "template": node.template,
-        "values": {k: render_value(v) for k, v in node.values.items()},
-        "rule": node.rule,
-        "seq": node.seq,
-        "children": [explain_to_obj(c) for c in node.children],
-    }
+def explain_to_obj(node: ExplainNode) -> str:
+    """The JSON text of a derivation tree: one object per node with
+    `fact_id`, `template`, `values`, `rule`, `seq`, `folded` and `children`.
+
+    Written with an explicit stack: json.dumps recurses once per level, so it
+    (like any recursive walk) fails on trees a few hundred levels deep.
+    """
+    out: list[str] = []
+    stack: list = [node]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        head = json.dumps(
+            {
+                "fact_id": item.fact_id,
+                "template": item.template,
+                "values": {k: render_value(v) for k, v in item.values.items()},
+                "rule": item.rule,
+                "seq": item.seq,
+                "folded": item.folded,
+            }
+        )
+        out.append(head[:-1] + ', "children": [')
+        stack.append("]}")
+        for i in range(len(item.children) - 1, -1, -1):
+            stack.append(item.children[i])
+            if i:
+                stack.append(", ")
+    return "".join(out)
 
 
 class QueryService:
@@ -79,27 +107,27 @@ class QueryService:
         self.config = config or ServiceConfig()
         self._lock = threading.Lock()
         self._snap = engine.snapshot()
-        self._log_len = len(engine.firelog)
+        self._refreshes = 0
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
     def refresh(self, engine: Engine | None = None) -> None:
         """Publish the current WM as the served snapshot (writer side)."""
-        eng = engine or self.engine
-        snap = eng.snapshot()
-        log_len = len(eng.firelog)
+        snap = (engine or self.engine).snapshot()
         with self._lock:
             self._snap = snap
-            self._log_len = log_len
+            self._refreshes += 1
 
-    def current(self):
+    def current(self) -> tuple[WmView, int]:
+        """The served snapshot and the number of refreshes before it."""
         with self._lock:
-            return self._snap, self._log_len
+            return self._snap, self._refreshes
 
     # ---- request handling (called from server threads) ----
 
-    def handle(self, path: str, query: str) -> tuple[int, dict | list]:
-        snap, log_len = self.current()
+    def handle(self, path: str, query: str) -> tuple[int, dict | list | str]:
+        """(status, body): a JSON-able body, or a str that is JSON already."""
+        snap, _ = self.current()
         if path.startswith("/queries/"):
             qname = unquote(path[len("/queries/") :])
             params = {k: coerce_arg(vs[0]) for k, vs in parse_qs(query, keep_blank_values=True).items()}
@@ -141,7 +169,7 @@ class QueryService:
             except ValueError:
                 return 400, {"error": f"fact id must be an integer, got {raw!r}"}
             try:
-                node = self.engine.explain(fid, before=log_len)
+                node = self.engine.explain(fid, view=snap)
             except NotDerived as exc:
                 return 404, {"error": str(exc)}
             return 200, explain_to_obj(node)
@@ -159,7 +187,7 @@ class QueryService:
                     status, body = service.handle(parts.path, parts.query)
                 except Exception as exc:  # defensive: a handler bug must not kill the server
                     status, body = 500, {"error": f"{type(exc).__name__}: {exc}"}
-                data = json.dumps(body).encode("utf-8")
+                data = (body if type(body) is str else json.dumps(body)).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json; charset=utf-8")
                 self.send_header("Content-Length", str(len(data)))

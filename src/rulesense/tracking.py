@@ -15,7 +15,7 @@ from importlib import resources
 from typing import Iterable
 
 from . import lang
-from .engine import Engine, QueryRow, WmView, load_kb
+from .engine import Engine, QueryRow, WmView
 from .facts import Symbol
 from .ingest import DUMMY_LOC, FeedStats, Registry, bootstrap, replay
 
@@ -25,11 +25,12 @@ def build_tracking_kb() -> str:
     return resources.files("rulesense").joinpath("kb/tracking.clp").read_text(encoding="utf-8")
 
 
-def load_engine(kb_text: str | None = None, exclude_rules: Iterable[str] = ()) -> Engine:
+def load_engine(kb_text: str | None = None, exclude_rules: Iterable[str] = (), firelog=None) -> Engine:
     """Engine from KB text (the shipped KB by default).
 
     exclude_rules drops named rules before loading; used to demonstrate
-    behavior with and without the cyclic-journey cleanup.
+    behavior with and without the cyclic-journey cleanup. firelog is the
+    engine's fire-log sink (see Engine).
     """
     if kb_text is None:
         kb_text = build_tracking_kb()
@@ -37,12 +38,14 @@ def load_engine(kb_text: str | None = None, exclude_rules: Iterable[str] = ()) -
     skip = set(exclude_rules)
     if skip:
         constructs = [c for c in constructs if not (isinstance(c, lang.RuleDef) and c.name in skip)]
-    return load_kb(constructs)
+    return Engine(constructs, firelog)
 
 
-def start_pipeline(reg: Registry, kb_text: str | None = None, exclude_rules: Iterable[str] = ()) -> Engine:
+def start_pipeline(
+    reg: Registry, kb_text: str | None = None, exclude_rules: Iterable[str] = (), firelog=None
+) -> Engine:
     """Load KB, seed registry facts, run to quiescence: ready for a feed."""
-    engine = load_engine(kb_text, exclude_rules)
+    engine = load_engine(kb_text, exclude_rules, firelog)
     bootstrap(engine, reg)
     engine.run()
     return engine
@@ -56,9 +59,10 @@ def run_pipeline(
     exclude_rules: Iterable[str] = (),
     pass_unknown: bool = False,
     on_cycle=None,
+    firelog=None,
 ) -> tuple[Engine, FeedStats]:
     """start_pipeline, then replay the feed to quiescence."""
-    engine = start_pipeline(reg, kb_text, exclude_rules)
+    engine = start_pipeline(reg, kb_text, exclude_rules, firelog)
     stats = replay(replay_source, reg, engine, speed=speed, pass_unknown=pass_unknown, on_cycle=on_cycle)
     return engine, stats
 

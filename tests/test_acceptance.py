@@ -23,7 +23,7 @@ from conftest import FIXTURES
 from naive import NaiveEngine, vkey
 from rulesense import lang
 from rulesense.cli import main as cli_main
-from rulesense.engine import Engine, firelog_to_jsonl, load_kb, wm_to_canonical_json
+from rulesense.engine import Engine, firelog_to_jsonl, wm_to_canonical_json
 from rulesense.facts import Symbol
 from rulesense.ingest import load_registry
 from rulesense.simulator import Room, Scenario, Walk, Waypoint, generate, true_traversals
@@ -236,7 +236,7 @@ def _canon_rows(pairs):
 
 def _drive_both(seed: int):
     rng = random.Random(seed)
-    eng = load_kb(KB_CONSTRUCTS)
+    eng = Engine(KB_CONSTRUCTS, firelog=[])
     ora = NaiveEngine(KB_CONSTRUCTS)
     for _ in range(rng.randint(0, 12)):
         template = rng.choice(_TEMPLATES)
@@ -301,7 +301,7 @@ _WATCH = """
 
 
 def _watch_engine():
-    return Engine(lang.parse_program(_WATCH))
+    return Engine(lang.parse_program(_WATCH), firelog=[])
 
 
 @settings(max_examples=120, deadline=None)
@@ -385,7 +385,7 @@ def _salience_property(sals, n):
         f"(defrule first-rule (declare (salience {first_sal})) (P (x ?x)) => (bind ?z 0))\n"
         f"(defrule second-rule (declare (salience {second_sal})) (P (x ?x)) => (bind ?z 0))\n"
     )
-    eng = Engine(lang.parse_program(text))
+    eng = Engine(lang.parse_program(text), firelog=[])
     for x in range(n):
         eng.assert_fact("P", {"x": x, "y": 0})
     eng.run()
@@ -516,9 +516,9 @@ def test_criterion_7_parser_conformance():
 
 def test_criterion_8_determinism(tmp_path, capsys):
     reg = load_registry(FIXTURES / "registry_s1.json")
-    e1, _ = run_pipeline(reg, FIXTURES / "s1_replay.jsonl")
-    e2, _ = run_pipeline(reg, FIXTURES / "s1_replay.jsonl")
-    assert firelog_to_jsonl(e1.firelog, e1.templates) == firelog_to_jsonl(e2.firelog, e2.templates)
+    e1, _ = run_pipeline(reg, FIXTURES / "s1_replay.jsonl", firelog=[])
+    e2, _ = run_pipeline(reg, FIXTURES / "s1_replay.jsonl", firelog=[])
+    assert firelog_to_jsonl(e1.firelog) == firelog_to_jsonl(e2.firelog)
     assert wm_to_canonical_json(e1) == wm_to_canonical_json(e2)
 
     base = [

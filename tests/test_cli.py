@@ -138,6 +138,22 @@ def test_run_emits_stats_and_firelog(tmp_path, capsys):
     assert lines and all(json.loads(ln) for ln in lines)
 
 
+def test_run_streams_the_golden_firelog(tmp_path, capsys):
+    log = tmp_path / "fires.jsonl"
+    assert run_cli("run", *s1_args(), "--firelog", str(log)) == 0
+    golden = (FIXTURES / "s1_firelog.jsonl").read_bytes()
+    assert log.read_bytes() == golden
+    # the report counts every rule's fires, logged or not
+    entries = [json.loads(ln) for ln in golden.decode("utf-8").splitlines()]
+    counts = json.loads(capsys.readouterr().out)["fire_counts"]
+    assert counts == {r: sum(e["rule"] == r for e in entries) for r in counts}
+    assert sum(counts.values()) == sum(e["rule"] is not None for e in entries)
+    assert list(counts) == [
+        "seen_at", "was_at", "update_current_loc", "find_corridor_events",
+        "drop_cyclic_journeys", "sweep_stale_sightings",
+    ]
+
+
 def test_run_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert run_cli("run", *s1_args(), "--firelog", str(a)) == 0

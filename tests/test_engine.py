@@ -1,5 +1,6 @@
 """Engine semantics: evaluation, matching, agenda order, logging, queries."""
 
+import io
 import itertools
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from rulesense.engine import (
     DuplicateRuleName,
     Engine,
+    FireLogWriter,
     MissingParameter,
     NotDerived,
     RuntimeEvalError,
@@ -25,7 +27,7 @@ from rulesense.lang import FuncCall, Literal, Var, parse_program
 
 
 def eng(text):
-    return Engine(parse_program(text))
+    return Engine(parse_program(text), firelog=[])
 
 
 # ------------------------------------------------------------
@@ -435,9 +437,6 @@ def test_rule_level_modify_collision_is_logged_not_raised():
         ("(bind ?z (/ ?n 0))", "RuntimeEvalError: division by zero"),
         ("(bind ?z (+ ?n ?k))", "RuntimeEvalError: arithmetic on non-number a"),
         ("(bind ?z (* ?n \"two\"))", "RuntimeEvalError: arithmetic on non-number 'two'"),
-        ("(bind ?z (- ?n))", "RuntimeEvalError: - needs at least 2 arguments"),
-        ("(bind ?z (< ?n))", "RuntimeEvalError: < needs at least 2 arguments"),
-        ("(bind ?z (eq ?n))", "RuntimeEvalError: eq needs at least 2 arguments"),
         ("(bind ?z (+ 1" + "0" * 400 + " 0.5))", "RuntimeEvalError: arithmetic overflow"),
         ("(bind ?z (eq (< ?n 2) ?n))", "RuntimeEvalError: eq on non-slot-value True"),
         ("(bind ?z (neq ?n ?n (> ?n 2)))", "RuntimeEvalError: neq on non-slot-value False"),
@@ -463,6 +462,26 @@ def test_rhs_error_text_in_the_fire_log(rhs, error):
     e.assert_fact("Item", {"kind": Symbol("a"), "n": 2})
     (entry,) = [x for x in e.run().entries if x.rule == "bad"]
     assert entry.error == error
+
+
+@pytest.mark.parametrize(
+    "kb, bad",
+    [
+        pytest.param("(defrule bad ?i <- (Item (kind ?k) (n ?n)) => (bind ?z (- ?n)))", "(- ?n)", id="bind-(- ?n)"),
+        pytest.param("(defrule bad ?i <- (Item (kind ?k) (n ?n)) => (bind ?z (< ?n)))", "(< ?n)", id="bind-(< ?n)"),
+        pytest.param("(defrule bad ?i <- (Item (kind ?k) (n ?n)) => (bind ?z (eq ?n)))", "(eq ?n)", id="bind-(eq ?n)"),
+        pytest.param("(defrule bad (Item (n ?n)) (test (< ?n)) => )", "(< ?n)", id="test-(< ?n)"),
+        pytest.param("(defrule bad ?i <- (Item (n ?n)) => (modify ?i (n (+ 1 (* ?n)))))", "(* ?n)", id="modify-(* ?n)"),
+        pytest.param("(defquery bad (declare (variables ?n)) (Item (n ?n)) (test (neq ?n)))", "(neq ?n)", id="query-(neq ?n)"),
+        pytest.param("(assert (Item (n (/ 4))))", "(/ 4)", id="assert-(/ 4)"),
+    ],
+)
+def test_one_operand_operator_fails_validation(kb, bad):
+    with pytest.raises(ValidationFailed) as ei:
+        eng("(deftemplate Item (slot kind) (slot n))" + kb)
+    (d,) = ei.value.diagnostics
+    assert d.kind == "operator-arity"
+    assert d.message == f"{bad} needs at least 2 operands"
 
 
 # ------------------------------------------------------------
@@ -493,7 +512,7 @@ def drive_chatty(e):
 def test_firelog_replay_reproduces_final_wm():
     e = eng(CHATTY)
     drive_chatty(e)
-    replayed = replay_firelog(firelog_to_jsonl(e.firelog, e.templates))
+    replayed = replay_firelog(firelog_to_jsonl(e.firelog))
     live = {
         f.id: (f.template.name, {s: value_key(f.values[s]) for s in f.template.slots})
         for f in e.facts()
@@ -509,12 +528,38 @@ def test_firelog_seq_is_dense_and_ts_monotonic():
     assert all(a <= b for a, b in zip(ts, ts[1:]))
 
 
+def test_firelog_writer_streams_each_entry_as_it_is_made():
+    stream = io.StringIO()
+    streamed = Engine(parse_program(CHATTY), firelog=FireLogWriter(stream))
+    kept = eng(CHATTY)
+    assert stream.getvalue() == firelog_to_jsonl(kept.firelog) != ""  # the initial Count fact
+    for e in (streamed, kept):
+        e.assert_fact("Raw", {"tag": Symbol("a"), "v": 1})
+    assert stream.getvalue() == firelog_to_jsonl(kept.firelog)
+    drive_chatty(streamed)
+    drive_chatty(kept)
+    assert stream.getvalue() == firelog_to_jsonl(kept.firelog)
+
+
+def test_fire_counts_and_the_default_log():
+    counted = Engine(parse_program(CHATTY))
+    logged = eng(CHATTY)
+    for e in (counted, logged):
+        drive_chatty(e)
+    assert counted.fire_counts == logged.fire_counts == {"cook": 2, "tally": 2}
+    assert len(counted.firelog) == 0 and list(counted.firelog) == []
+    assert counted.run().entries == []
+    # provenance does not depend on the log being kept
+    for c in counted.facts():
+        assert counted.explain(c.id) == logged.explain(c.id)
+
+
 def test_identical_histories_serialize_identically():
     logs = []
     for _ in range(2):
         e = eng(CHATTY)
         drive_chatty(e)
-        logs.append(firelog_to_jsonl(e.firelog, e.templates))
+        logs.append(firelog_to_jsonl(e.firelog))
         wm = wm_to_canonical_json(e)
     assert logs[0] == logs[1]
     assert wm == wm_to_canonical_json(e)
@@ -597,27 +642,67 @@ def test_explain_follows_modify_chains():
     e = eng(
         """
         (deftemplate C (slot n))
-        (defrule bump ?c <- (C (n ?n)) (test (< ?n 2)) => (modify ?c (n (+ ?n 1))))
+        (defrule bump ?c <- (C (n ?n)) (test (< ?n 3)) => (modify ?c (n (+ ?n 1))))
         """
     )
     fid = e.assert_fact("C", {"n": 0}).fact_id
     e.run()
     node = e.explain(fid)
-    assert node.values["n"] == 2 and node.rule == "bump"
-    assert node.children[0].values["n"] == 1 and node.children[0].rule == "bump"
-    leaf = node.children[0].children[0]
-    assert leaf.values["n"] == 0 and leaf.rule is None
+    # three bumps fold into one node that points at the version opening the chain
+    assert node.values["n"] == 3 and node.rule == "bump" and node.folded == 2
+    (opener,) = node.children
+    assert opener.fact_id == fid and opener.values["n"] == 0
+    assert opener.rule is None and opener.folded == 0 and opener.children == ()
+
+
+def test_folded_chain_keeps_the_latest_steps_other_inputs():
+    e = eng(
+        """
+        (deftemplate C (slot n))
+        (deftemplate Tick (slot k))
+        (defrule seed (Tick (k 0)) => (assert (C (n 0))))
+        (defrule count ?c <- (C (n ?n)) ?t <- (Tick (k ?k)) (test (> ?k 0)) => (retract ?t) (modify ?c (n (+ ?n ?k))))
+        """
+    )
+    seed = e.assert_fact("Tick", {"k": 0}).fact_id
+    e.run()
+    (c,) = e.facts("C")
+    for k in (1, 2, 3):
+        last = e.assert_fact("Tick", {"k": k}).fact_id
+        e.run()
+    node = e.explain(c.id)
+    assert node.values["n"] == 6 and node.rule == "count" and node.folded == 2
+    opener, tick = node.children
+    assert (opener.fact_id, opener.values["n"], opener.rule) == (c.id, 0, "seed")
+    assert [ch.fact_id for ch in opener.children] == [seed]
+    assert (tick.fact_id, tick.values["k"], tick.rule) == (last, 3, None)  # retracted, still explained
+    # an external modify starts a new chain: the fact becomes a leaf again
+    e.modify_fact(c.id, {"n": 100})
+    node = e.explain(c.id)
+    assert node.rule is None and node.children == () and node.folded == 0
+    e.assert_fact("Tick", {"k": 4})
+    e.run()
+    node = e.explain(c.id)
+    assert node.folded == 0 and [ch.values for ch in node.children] == [{"n": 100}, {"k": 4}]
 
 
 def test_explain_respects_before_bound():
+    """The bound is a snapshot: explain answers for the versions a view holds,
+    whatever the engine did after it was taken."""
     e = eng(ITEMS)
+    empty = e.snapshot()
     fid = e.assert_fact("Item", {"kind": Symbol("a"), "n": 1}).fact_id
-    mark = len(e.firelog)
+    before = e.snapshot()
     e.modify_fact(fid, {"n": 7})
     assert e.explain(fid).values["n"] == 7
-    assert e.explain(fid, before=mark).values["n"] == 1
+    assert e.explain(fid, view=before).values["n"] == 1
+    assert e.explain(fid, view=before).seq == 0
     with pytest.raises(NotDerived):
-        e.explain(fid, before=0)
+        e.explain(fid, view=empty)
+    e.retract_fact(fid)
+    with pytest.raises(NotDerived):
+        e.explain(fid)
+    assert e.explain(fid, view=before).values["n"] == 1
 
 
 def test_explain_unknown_fact():

@@ -183,7 +183,7 @@ def _ops(draw):
 def test_random_programs_match_the_naive_oracle(program, ops):
     assert lang.validate_program(program) == []
     note(lang.format_program(program))
-    eng = Engine(program)
+    eng = Engine(program, firelog=[])
     ora = NaiveEngine(program)
     for op in ops:
         if op[0] == "assert":
@@ -212,6 +212,7 @@ def test_random_programs_match_the_naive_oracle(program, ops):
     eng.run(RUN_LIMIT)
     ora.run(RUN_LIMIT)
     assert _fires(eng) == ora.fire_sequence
+    assert eng.fire_counts == {r: sum(1 for f, _ in ora.fire_sequence if f == r) for r in eng.rule_names}
     assert _canon_engine_wm(eng) == ora.canonical_wm()
     for v in VALUES:
         got = _canon_rows((r.fact_ids, r.bindings) for r in eng.run_query("q", {"p": v}))
