@@ -9,10 +9,11 @@ trees.
 Provenance lives on the facts, not in the log: each fact version's `why`
 names the rule, the fire-log seq and the consumed versions that made it, and
 a rule's modify of a fact it consumed folds the chain behind it. What no live
-fact reaches is freed, so memory does not grow with the feed, and a snapshot
-explains its own facts. The fire log is a sink the caller chooses: a list
-keeps every entry, a `FireLogWriter` streams them to a file, and None (the
-default) keeps nothing; per-rule counts are in `fire_counts` either way.
+fact reaches is freed, so the engine's memory follows its working memory,
+not the length of the feed, and a snapshot explains its own facts. The fire
+log is a sink the caller chooses: a list keeps every entry, a
+`FireLogWriter` streams them to a file, and None (the default) keeps
+nothing; per-rule counts are in `fire_counts` either way.
 
 Refraction (an activation fires at most once) needs no memory of fired
 activations. Every activation a mutation creates contains the mutated fact:

@@ -10,7 +10,6 @@ import tracemalloc
 import pytest
 
 from rulesense.engine import Engine
-from rulesense.facts import Symbol
 from rulesense.ingest import load_registry
 from rulesense.lang import parse_program
 from rulesense.service import query_service
@@ -229,20 +228,3 @@ def test_served_tree_holds_until_the_next_refresh(serve):
     svc.refresh()
     assert explain()[0] == 404
 
-
-def test_explain_of_the_tracking_kb_names_rules_on_every_inner_node(registry_s1, s1_replay_path):
-    engine, _ = run_pipeline(registry_s1, s1_replay_path)
-    rules = set(engine.rule_names)
-    (current,) = engine.facts("is-currently-at")
-    stack = [engine.explain(current.id)]
-    seen = 0
-    while stack:
-        node = stack.pop()
-        seen += 1
-        if node.children:
-            assert node.rule in rules
-        else:
-            assert node.rule is None
-        stack.extend(node.children)
-    assert seen > 1
-    assert current.value("location") == Symbol("740")
