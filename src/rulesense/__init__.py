@@ -77,6 +77,6 @@ from .tracking import (
     shaped_query,
     where_rows,
 )
-from .service import QueryService, ServiceConfig, query_service
+from .service import QueryService, ServiceConfig
 
 __version__ = "0.1.0"

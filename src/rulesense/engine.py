@@ -1,10 +1,14 @@
 """Forward-chaining inference engine.
 
-Working memory with set semantics, incremental two-phase matching (per-template
-alpha filtering on literal constraints, then left-to-right beta joins on shared
-variables with per-join memories), an agenda ordered by salience / recency /
-insertion sequence, a replayable fire log, on-demand queries, and derivation
-trees.
+Working memory with set semantics, incremental left-to-right matching, an
+agenda ordered by salience / recency / insertion sequence, a replayable fire
+log, on-demand queries, and derivation trees.
+
+Matching keeps one memory shape on both sides of every join (as in Rete/UL):
+a rule's `right[lvl]` holds the facts that match pattern `lvl`, its
+`left[lvl]` the partial matches of patterns 1..`lvl`, and each maps a join key
+to {fact-id tuple: bindings}. One `fid -> handles` map finds the entries that
+hold a fact when it goes.
 
 Provenance lives on the facts, not in the log: each fact version's `why`
 names the rule, the fire-log seq and the consumed versions that made it, and
@@ -18,9 +22,10 @@ nothing; per-rule counts are in `fire_counts` either way.
 Refraction (an activation fires at most once) needs no memory of fired
 activations. Every activation a mutation creates contains the mutated fact:
 an assert's fact has a fresh id, so its combinations are new, and a modify
-tears the fact's alpha entries and tokens down before it re-propagates, so
+tears down every memory entry that holds the fact before it re-propagates, so
 every combination it creates holds the new version. No mutation can
-re-create an activation that already fired.
+re-create an activation that already fired. An activation carries the fact
+versions it matched, and is cancelled once one is no longer in the WM.
 
 Determinism contract: insertion sequence is a pure function of history. After
 every primitive WM mutation (one assert, retract, or modify), all activations
@@ -329,7 +334,7 @@ def _compile_lhs(lhs: tuple) -> tuple[list[_CPattern], tuple[tuple, ...]]:
 
 
 class _CRule:
-    __slots__ = ("name", "index", "salience", "patterns", "tests", "prog", "k")
+    __slots__ = ("name", "index", "salience", "patterns", "tests", "prog", "k", "left", "right")
 
     def __init__(self, index: int, r: lang.RuleDef, templates: TemplateRegistry):
         self.name = r.name
@@ -338,6 +343,9 @@ class _CRule:
         self.patterns, self.tests = _compile_lhs(r.lhs)
         self.prog = tuple(_compile_action(a, templates) for a in r.rhs)
         self.k = len(self.patterns)
+        # join memories by level (module docstring)
+        self.left: list[dict] = [{} for _ in range(self.k + 1)]
+        self.right: list[dict] = [{} for _ in range(self.k + 1)]
 
 
 class _CQuery:
@@ -412,18 +420,6 @@ class ExplainNode:
     seq: int
     folded: int  # earlier modify-chain steps folded into this node
     children: tuple
-
-
-class _Token:
-    __slots__ = ("ri", "lvl", "ids", "bindings", "key", "dead")
-
-    def __init__(self, ri: int, lvl: int, ids: tuple, bindings: dict, key: tuple):
-        self.ri = ri
-        self.lvl = lvl
-        self.ids = ids
-        self.bindings = bindings
-        self.key = key
-        self.dead = False
 
 
 # Serializes WmView materialization: HTTP handler threads may read the same
@@ -542,17 +538,16 @@ class Engine:
             else:
                 staged.extend(c.facts)
 
-        # pattern subscriptions: template name -> [(rule index, level)]
-        self._subs: dict[str, list[tuple[int, int]]] = {}
+        # pattern subscriptions: template name -> [(rule, level)]
+        self._subs: dict[str, list[tuple[_CRule, int]]] = {}
         for cr in self._rules:
             for lvl, pat in enumerate(cr.patterns, start=1):
-                self._subs.setdefault(pat.template, []).append((cr.index, lvl))
+                self._subs.setdefault(pat.template, []).append((cr, lvl))
 
         # working memory
         self._wm: dict[int, Fact] = {}
         self._by_template: dict[str, set[int]] = {}
         self._dup: dict[tuple, int] = {}
-        self._versions: dict[int, int] = {}
         self._next_id = 1
 
         # snapshot publishing: the facts changed since the last published
@@ -563,11 +558,9 @@ class Engine:
         self._view_next_id = 1
         self._delta_entries = 0
 
-        # match network state
-        self._alpha_idx: dict[tuple[int, int], dict[tuple, set[int]]] = {}
-        self._beta_idx: dict[tuple[int, int], dict[tuple, set[_Token]]] = {}
-        self._fact_alpha: dict[int, list[tuple[int, int, tuple]]] = {}
-        self._fact_tokens: dict[int, list[_Token]] = {}
+        # fid -> [(memory, join key, fact-id tuple)]: the join-memory entries
+        # that hold the fact, some of them stale (see _store)
+        self._handles: dict[int, list[tuple[dict, tuple, tuple]]] = {}
 
         # agenda
         self._agenda: list = []
@@ -636,17 +629,15 @@ class Engine:
         log = self.firelog
         log_start = len(log) if isinstance(log, list) else None
         agenda = self._agenda
+        wm = self._wm
         while agenda and (limit is None or fired < limit):
-            neg_sal, neg_rec, neg_seq, ri, ids, vers, bindings = heappop(agenda)
-            live = True
-            for fid, ver in zip(ids, vers):
-                if self._versions.get(fid) != ver:
-                    live = False
-                    break
-            if not live:
-                continue
-            fired += 1
-            self._fire(ri, ids, bindings)
+            neg_sal, neg_rec, neg_seq, ri, ids, facts, bindings = heappop(agenda)
+            for fid, f in zip(ids, facts):
+                if wm.get(fid) is not f:
+                    break  # cancelled: a fact it matched is gone or modified
+            else:
+                fired += 1
+                self._fire(ri, ids, facts, bindings)
         return RunResult(fired, [] if log_start is None else log[log_start:])
 
     def run_query(self, name: str, arguments: Mapping[str, SlotValue], view: WmView | None = None) -> list[QueryRow]:
@@ -774,8 +765,8 @@ class Engine:
     def agenda_size(self) -> int:
         # live activations only (the heap may hold cancelled ones)
         n = 0
-        for _, _, _, ri, ids, vers, _ in self._agenda:
-            if all(self._versions.get(f) == v for f, v in zip(ids, vers)):
+        for _, _, _, _, ids, facts, _ in self._agenda:
+            if all(self._wm.get(fid) is f for fid, f in zip(ids, facts)):
                 n += 1
         return n
 
@@ -798,13 +789,13 @@ class Engine:
                 )
             )
 
-    def _fire(self, ri: int, ids: tuple, bindings: dict) -> None:
+    def _fire(self, ri: int, ids: tuple, facts: tuple, bindings: dict) -> None:
         rule = self._rules[ri]
         self.fire_counts[rule.name] += 1
         seq = self._seq
         self._seq += 1
         wm = self._wm
-        why = Why(rule.name, seq, tuple(map(wm.__getitem__, ids)))
+        why = Why(rule.name, seq, facts)
         log = self._log
         local = dict(bindings)
         produced: list[int] = []
@@ -873,7 +864,6 @@ class Engine:
         self._by_template.setdefault(fact.template.name, set()).add(fid)
         self._changes[fid] = fact
         self._dup[fact.key] = fid
-        self._versions[fid] = 1
         self._tick += 1
         self._pending = []
         self._propagate(fact)
@@ -888,7 +878,6 @@ class Engine:
         else:
             self._changes[fid] = None
         del self._dup[fact.key]
-        del self._versions[fid]
         self._tick += 1
         self._teardown(fid)
         # retraction creates no activations
@@ -903,7 +892,6 @@ class Engine:
         self._dup[new.key] = fid
         self._wm[fid] = new
         self._changes[fid] = new
-        self._versions[fid] += 1
         self._tick += 1
         self._teardown(fid)
         self._pending = []
@@ -911,30 +899,16 @@ class Engine:
         self._flush_pending()
 
     def _teardown(self, fid: int) -> None:
-        """Remove fid from alpha buckets and join tokens.
+        """Remove every join-memory entry that holds fid: its own right-memory
+        entries and every partial match it is part of.
 
         A modify calls this before it re-propagates the new version, which is
         why refraction needs no memory of fired activations (module docstring).
         """
-        for ri, lvl, akey in self._fact_alpha.pop(fid, ()):
-            idx = self._alpha_idx.get((ri, lvl))
-            if idx is not None:
-                bucket = idx.get(akey)
-                if bucket is not None:
-                    bucket.discard(fid)
-                    if not bucket:
-                        del idx[akey]
-        for tok in self._fact_tokens.pop(fid, ()):
-            if tok.dead:
-                continue
-            tok.dead = True
-            idx = self._beta_idx.get((tok.ri, tok.lvl))
-            if idx is not None:
-                bucket = idx.get(tok.key)
-                if bucket is not None:
-                    bucket.discard(tok)
-                    if not bucket:
-                        del idx[tok.key]
+        for mem, key, ids in self._handles.pop(fid, ()):
+            bucket = mem.get(key)
+            if bucket is not None and bucket.pop(ids, None) is not None and not bucket:
+                del mem[key]
 
     # ----- incremental matching -----
 
@@ -942,72 +916,56 @@ class Engine:
         subs = self._subs.get(fact.template.name)
         if not subs:
             return
-        fid = fact.id
+        ids = (fact.id,)
         vals = fact.values
-        rules = self._rules
-        pending = self._pending
-        for ri, lvl in subs:
-            rule = rules[ri]
+        for rule, lvl in subs:
             pat = rule.patterns[lvl - 1]
             contrib = pat.match(fact)
             if contrib is None:
                 continue
             if lvl == 1:
-                if not _tests_ok(rule.tests[1], contrib):
-                    continue
-                if rule.k == 1:
-                    pending.append((ri, (fid,), contrib))
-                else:
-                    self._store_token(rule, 1, (fid,), contrib)
-            else:
-                akey = tuple(value_key(vals[s]) for s in pat.jslots)
-                self._alpha_idx.setdefault((ri, lvl), {}).setdefault(akey, set()).add(fid)
-                self._fact_alpha.setdefault(fid, []).append((ri, lvl, akey))
-                parents = self._beta_idx.get((ri, lvl - 1), {}).get(akey)
-                if parents:
-                    for parent in list(parents):
-                        if parent.dead:
-                            continue
-                        merged = {**parent.bindings, **contrib}
-                        if not _tests_ok(rule.tests[lvl], merged):
-                            continue
-                        ids = parent.ids + (fid,)
-                        if lvl == rule.k:
-                            self._pending.append((ri, ids, merged))
-                        else:
-                            self._store_token(rule, lvl, ids, merged)
-
-    def _store_token(self, rule: _CRule, lvl: int, ids: tuple, bindings: dict) -> None:
-        """Store a partial match at `lvl` and join it with the next alpha level."""
-        nxt_pat = rule.patterns[lvl]  # pattern at level lvl+1
-        key = tuple(value_key(bindings[v]) for v in nxt_pat.jvars)
-        tok = _Token(rule.index, lvl, ids, bindings, key)
-        self._beta_idx.setdefault((rule.index, lvl), {}).setdefault(key, set()).add(tok)
-        for fid in ids:
-            self._add_token_handle(fid, tok)
-        nxt = lvl + 1
-        bucket = self._alpha_idx.get((rule.index, nxt), {}).get(key)
-        if not bucket:
-            return
-        for fid2 in sorted(bucket):
-            fact2 = self._wm[fid2]
-            merged = nxt_pat.match(fact2, bindings)
-            if merged is None or not _tests_ok(rule.tests[nxt], merged):
+                self._extend(rule, 1, ids, contrib)
                 continue
-            ids2 = ids + (fid2,)
-            if nxt == rule.k:
-                self._pending.append((rule.index, ids2, merged))
-            else:
-                self._store_token(rule, nxt, ids2, merged)
+            key = tuple(value_key(vals[s]) for s in pat.jslots)
+            self._store(rule.right[lvl], key, ids, contrib)
+            partials = rule.left[lvl - 1].get(key)
+            if partials:
+                for pids, bindings in partials.items():
+                    self._extend(rule, lvl, pids + ids, {**bindings, **contrib})
 
-    def _add_token_handle(self, fid: int, tok: _Token) -> None:
-        lst = self._fact_tokens.setdefault(fid, [])
-        lst.append(tok)
-        # long-lived facts accumulate dead handles as partners churn; compact
-        if len(lst) > 16:
-            dead = sum(1 for t in lst if t.dead)
-            if dead * 2 > len(lst):
-                self._fact_tokens[fid] = [t for t in lst if not t.dead]
+    def _extend(self, rule: _CRule, lvl: int, ids: tuple, bindings: dict) -> None:
+        """Run level `lvl`'s tests on a match of patterns 1..`lvl`; queue it as
+        an activation if it is complete, else store it in `left[lvl]` and join
+        it with `right[lvl + 1]`. Join order does not matter: _flush_pending
+        orders the activations."""
+        if not _tests_ok(rule.tests[lvl], bindings):
+            return
+        if lvl == rule.k:
+            self._pending.append((rule.index, ids, bindings))
+            return
+        key = tuple(value_key(bindings[v]) for v in rule.patterns[lvl].jvars)
+        self._store(rule.left[lvl], key, ids, bindings)
+        facts = rule.right[lvl + 1].get(key)
+        if facts:
+            for fids, contrib in facts.items():
+                self._extend(rule, lvl + 1, ids + fids, {**bindings, **contrib})
+
+    def _store(self, mem: dict, key: tuple, ids: tuple, bindings: dict) -> None:
+        """Put a match in a join memory, with a handle on each of its facts."""
+        mem.setdefault(key, {})[ids] = bindings
+        handle = (mem, key, ids)
+        handles = self._handles
+        for fid in ids:
+            lst = handles.setdefault(fid, [])
+            lst.append(handle)
+            # a long-lived fact keeps handles on entries its partners' teardowns
+            # took (or re-made, on a modify): at each power-of-two length from
+            # 32, drop those if at least half, so the list stays O(live entries)
+            n = len(lst)
+            if n >= 32 and not n & (n - 1):
+                live = {(id(m), k, i): (m, k, i) for m, k, i in lst if i in m.get(k, ())}
+                if 2 * len(live) <= n:
+                    handles[fid] = list(live.values())
 
     def _flush_pending(self) -> None:
         pending = self._pending
@@ -1015,12 +973,12 @@ class Engine:
             return
         self._pending = []
         pending.sort(key=lambda p: (p[0], p[1]))
+        wm = self._wm
         for ri, ids, bindings in pending:
             self._act_seq += 1
             rec = max(ids) if ids else 0
-            vers = tuple(self._versions[f] for f in ids)
-            rule = self._rules[ri]
-            heappush(self._agenda, (-rule.salience, -rec, -self._act_seq, ri, ids, vers, bindings))
+            facts = tuple(map(wm.__getitem__, ids))
+            heappush(self._agenda, (-self._rules[ri].salience, -rec, -self._act_seq, ri, ids, facts, bindings))
 
 
 def _fold(why: Why, pos: int) -> Why:

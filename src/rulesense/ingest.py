@@ -69,13 +69,17 @@ def _req_str(obj: dict, key: str, where: str) -> str:
 
 
 def load_registry(source: str | Path | dict) -> Registry:
-    """Parse and validate a registry (path, JSON text, or already-parsed dict)."""
+    """Parse and validate a registry (path, JSON text, or already-parsed dict).
+
+    A `Path` is read as a file, and so is a str unless it starts (after
+    whitespace) with `{` or `[`, which is parsed as JSON text: the argument
+    decides, not what exists on disk.
+    """
     if isinstance(source, (str, Path)):
-        p = Path(source)
+        is_text = isinstance(source, str) and source.lstrip()[:1] in ("{", "[")
         try:
-            text = p.read_text(encoding="utf-8") if p.exists() else str(source)
-            obj = json.loads(text)
-        except (OSError, json.JSONDecodeError) as exc:
+            obj = json.loads(source if is_text else Path(source).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, NUL in a path
             raise MalformedRegistry(f"unreadable registry: {exc}") from None
     else:
         obj = source

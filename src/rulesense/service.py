@@ -70,16 +70,27 @@ def explain_to_obj(node: ExplainNode) -> str:
     """The JSON text of a derivation tree: one object per node with
     `fact_id`, `template`, `values`, `rule`, `seq`, `folded` and `children`.
 
-    Written with an explicit stack: json.dumps recurses once per level, so it
-    (like any recursive walk) fails on trees a few hundred levels deep.
+    A fact version several parents consumed is one shared node: if it has
+    children it is written in full once, and each later occurrence as
+    `{"fact_id": F, "seq": S, "repeat": true}`, so the text grows with the
+    tree's edges, not exponentially with its depth. Leaves are always written
+    in full. Written with an explicit stack: json.dumps recurses once per
+    level, so it (like any recursive walk) fails on trees a few hundred levels
+    deep.
     """
     out: list[str] = []
+    written: set[int] = set()
     stack: list = [node]
     while stack:
         item = stack.pop()
         if type(item) is str:
             out.append(item)
             continue
+        if item.children:
+            if id(item) in written:
+                out.append(json.dumps({"fact_id": item.fact_id, "seq": item.seq, "repeat": True}))
+                continue
+            written.add(id(item))
         head = json.dumps(
             {
                 "fact_id": item.fact_id,
@@ -212,10 +223,3 @@ class QueryService:
             self._thread.join(timeout=5)
             self._thread = None
 
-
-def query_service(engine: Engine, config: ServiceConfig | None = None) -> QueryService:
-    """Construct and start a service; returns it with the bound port in
-    service.bound (host, port)."""
-    svc = QueryService(engine, config)
-    svc.bound = svc.start()
-    return svc

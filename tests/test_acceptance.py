@@ -7,6 +7,7 @@ tests in this file must run in definition order (pytest's default).
 """
 
 import json
+import os
 import random
 import string
 import subprocess
@@ -617,8 +618,13 @@ def test_criterion_9_throughput(tmp_path):
     feed = tmp_path / "bulk.jsonl"
     reg_path = tmp_path / "registry.json"
     reg_path.write_text(json.dumps(_write_bulk_feed(feed)), encoding="utf-8")
+    # pytest's pythonpath setting does not reach a child interpreter
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-c", _CHILD, str(reg_path), str(feed)],
+        env=env,
         capture_output=True,
         text=True,
         timeout=300,

@@ -1,7 +1,9 @@
 """Engine semantics: evaluation, matching, agenda order, logging, queries."""
 
+import gc
 import io
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -374,6 +376,41 @@ def test_repeated_variable_inside_one_pattern():
     e.assert_fact("Pair", {"x": 2, "y": 2})
     e.run()
     assert [f.value("x") for f in e.facts("Eq2")] == [2]
+
+
+@pytest.mark.parametrize("churn", ["retract", "modify"])
+def test_partner_churn_keeps_join_memory_flat(churn):
+    """A long-lived fact's handles on the partial matches it made with a
+    partner that keeps going (retract) or changing (modify) are compacted."""
+    e = Engine(
+        parse_program(
+            """
+            (deftemplate A (slot k))
+            (deftemplate B (slot k) (slot n))
+            (deftemplate C (slot k))
+            (defrule r (A (k ?k)) (B (k ?k) (n ?n)) (C (k ?k)) => )
+            (assert (A (k 1)))
+            """
+        )
+    )
+    b = e.assert_fact("B", {"k": 1, "n": 0}).fact_id
+    retained = {}
+    tracemalloc.start()
+    try:
+        for i in range(1, 20_001):
+            if churn == "retract":
+                e.retract_fact(b)
+                b = e.assert_fact("B", {"k": 1, "n": i}).fact_id
+            else:
+                e.modify_fact(b, {"n": i})
+            e.run()
+            if i in (10_000, 20_000):
+                gc.collect()
+                retained[i] = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    grown = retained[20_000] - retained[10_000]
+    assert grown < 64 * 1024, f"retained memory grew {grown} bytes from 10k to 20k cycles"
 
 
 # ------------------------------------------------------------

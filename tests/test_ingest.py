@@ -100,6 +100,22 @@ def test_registry_rejections(mutation, error):
         load_registry(raw)
 
 
+def test_load_registry_from_long_json_text():
+    # longer than a file name may be: the text must not be tried as a path
+    raw = {"persons": [{"name": f"P{i}", "deviceAddress": f"D{i:04d}"} for i in range(20)], "corridors": []}
+    text = json.dumps(raw)
+    assert len(text) > 255 and "/" not in text
+    assert load_registry(text) == load_registry(raw)
+    assert load_registry("  \n" + text) == load_registry(raw)
+
+
+def test_registry_file_that_is_not_utf8(tmp_path):
+    p = tmp_path / "reg.json"
+    p.write_bytes(b'{"persons": [{"name": "P\xff", "deviceAddress": "D1"}]}')
+    with pytest.raises(MalformedRegistry):
+        load_registry(p)
+
+
 def test_registry_garbage_sources():
     with pytest.raises(MalformedRegistry):
         load_registry("this is not json and not a path")

@@ -12,7 +12,7 @@ import pytest
 from rulesense.engine import Engine
 from rulesense.ingest import load_registry
 from rulesense.lang import parse_program
-from rulesense.service import query_service
+from rulesense.service import QueryService, explain_to_obj
 from rulesense.tracking import run_pipeline
 
 
@@ -42,9 +42,9 @@ def serve():
     services = []
 
     def start(engine):
-        svc = query_service(engine)
+        svc = QueryService(engine)
         services.append(svc)
-        return svc, svc.bound[1]
+        return svc, svc.start()[1]
 
     yield start
     for svc in services:
@@ -170,6 +170,50 @@ def test_deep_assert_chain_explains_in_full(serve):
         assert (node["values"], node["rule"], node["folded"]) == ({"n": n}, "next", 0)
         (node,) = node["children"]
     assert (node["values"], node["rule"], node["children"]) == ({"n": 0}, None, [])
+
+
+def _step_engine(n: int) -> Engine:
+    """Every step joins both outputs of the step before, so each version
+    has two parents and the unshared tree doubles per level."""
+    engine = Engine(
+        parse_program(
+            f"""
+            (deftemplate A (slot n))
+            (deftemplate B (slot n))
+            (defrule step (A (n ?n)) (B (n ?n)) (test (< ?n {n}))
+              => (assert (A (n (+ ?n 1)))) (assert (B (n (+ ?n 1)))))
+            (assert (A (n 0)) (B (n 0)))
+            """
+        )
+    )
+    engine.run()
+    return engine
+
+
+def test_shared_versions_are_written_once():
+    sizes = {}
+    for n in (8, 16):
+        engine = _step_engine(n)
+        (top,) = [f for f in engine.facts("A") if f.value("n") == n]
+        text = explain_to_obj(engine.explain(top.id))
+        sizes[n] = len(text)
+        # every inner version in full once, each later occurrence a stub
+        # naming one written before it
+        full, stubs = set(), 0
+        stack = [json.loads(text)]
+        while stack:
+            node = stack.pop()
+            if node.get("repeat"):
+                assert node == {"fact_id": node["fact_id"], "seq": node["seq"], "repeat": True}
+                assert (node["fact_id"], node["seq"]) in full
+                stubs += 1
+                continue
+            if node["children"]:
+                assert (node["fact_id"], node["seq"]) not in full
+                full.add((node["fact_id"], node["seq"]))
+            stack.extend(reversed(node["children"]))
+        assert (len(full), stubs) == (2 * n - 1, 2 * n - 4)
+    assert sizes[16] < 2.5 * sizes[8], sizes
 
 
 # ------------------------------------------------------------

@@ -6,16 +6,16 @@ import json
 import pytest
 
 from rulesense.facts import Symbol
-from rulesense.service import QueryService, ServiceConfig, coerce_arg, query_service
+from rulesense.service import QueryService, ServiceConfig, coerce_arg
 from rulesense.tracking import run_pipeline
 
 
 @pytest.fixture()
 def served(registry_s1, s1_replay_path):
     engine, _ = run_pipeline(registry_s1, s1_replay_path)
-    svc = query_service(engine)
+    svc = QueryService(engine)
     try:
-        yield svc, svc.bound[1], engine
+        yield svc, svc.start()[1], engine
     finally:
         svc.stop()
 
@@ -125,9 +125,9 @@ def test_snapshot_isolation_until_refresh(served):
 
 def test_delay_correction_config(registry_s1, s1_replay_path):
     engine, _ = run_pipeline(registry_s1, s1_replay_path)
-    svc = query_service(engine, ServiceConfig(delay_correction_ms=1500))
+    svc = QueryService(engine, ServiceConfig(delay_correction_ms=1500))
     try:
-        _, body = get(svc.bound[1], "/queries/find_journeys?name=Pete")
+        _, body = get(svc.start()[1], "/queries/find_journeys?name=Pete")
         assert [r["corrected_tTaken"] for r in body["results"]] == [1000, 1000]
     finally:
         svc.stop()
