@@ -38,7 +38,6 @@ from .engine import (
     MissingParameter,
     NotDerived,
     QueryRow,
-    RunResult,
     RuntimeEvalError,
     UnknownFactId,
     UnknownParameter,
@@ -67,16 +66,7 @@ from .ingest import (
     translate,
 )
 from .simulator import InvalidScenario, Lcg, Scenario, generate, load_scenario, true_traversals
-from .tracking import (
-    JourneyRow,
-    build_tracking_kb,
-    history_rows,
-    journey_rows,
-    load_engine,
-    run_pipeline,
-    shaped_query,
-    where_rows,
-)
+from .tracking import build_tracking_kb, load_engine, run_pipeline, shaped_query
 from .service import QueryService, ServiceConfig
 
 __version__ = "0.1.0"

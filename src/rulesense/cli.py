@@ -108,24 +108,25 @@ def _cmd_parse(args) -> int:
     return 0
 
 
-def _load_pipeline(args, firelog=None):
+def _load_pipeline(args, files=None):
+    """Check the pipeline flags, then start the engine on the KB and registry.
+    Given `files` (an ExitStack), a `--firelog` file is opened on it and the
+    fire log streams into it as entries are made."""
+    if args.delay_correction < 0:
+        raise ValueError("--delay-correction must be >= 0")
     kb_text = Path(args.kb).read_text(encoding="utf-8") if args.kb else None
     reg = load_registry(args.registry)
-    return start_pipeline(reg, kb_text, args.exclude_rule, firelog), reg
+    sink = None
+    if files is not None and args.firelog:
+        sink = FireLogWriter(files.enter_context(open(args.firelog, "w", encoding="utf-8")))
+    return start_pipeline(reg, kb_text, args.exclude_rule, sink), reg
 
 
 def _cmd_run(args) -> int:
-    if args.delay_correction < 0:
-        print("error: --delay-correction must be >= 0", file=sys.stderr)
-        return 1
     service = None
-    # the fire log streams into its file as entries are made; it is complete
-    # (and closed) once the replay is done
+    # the fire log is complete (and closed) once the replay is done
     with contextlib.ExitStack() as files:
-        sink = None
-        if args.firelog:
-            sink = FireLogWriter(files.enter_context(open(args.firelog, "w", encoding="utf-8")))
-        engine, reg = _load_pipeline(args, sink)
+        engine, reg = _load_pipeline(args, files)
         if args.serve is not None:
             host, port = args.serve
             service = QueryService(engine, ServiceConfig(host, port, args.delay_correction))
@@ -154,9 +155,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    if args.delay_correction < 0:
-        print("error: --delay-correction must be >= 0", file=sys.stderr)
-        return 1
     engine, reg = _load_pipeline(args)
     replay(args.replay, reg, engine, speed=args.speed, pass_unknown=args.pass_unknown)
     params = {k: coerce_arg(v) for k, v in args.arg}

@@ -399,12 +399,6 @@ class FireLogEntry:
     error: str | None = None
 
 
-@dataclass(slots=True)
-class RunResult:
-    fired: int
-    entries: list  # this run's log entries when the fire log is a list, else []
-
-
 @dataclass(frozen=True, slots=True)
 class QueryRow:
     bindings: dict
@@ -601,17 +595,14 @@ class Engine:
         return res
 
     def retract_fact(self, fid: int) -> None:
-        if fid not in self._wm:
-            raise UnknownFactId(f"no live fact {fid}")
-        self._retract_internal(fid)
+        self.fact(fid)  # UnknownFactId unless live
+        self._write(fid, None)
         self._external(retracted=fid)
 
     def modify_fact(self, fid: int, updates: Mapping[str, SlotValue]) -> None:
-        if fid not in self._wm:
-            raise UnknownFactId(f"no live fact {fid}")
+        old = self.fact(fid)
         if not updates:
             return  # no-op, no re-activation
-        old = self._wm[fid]
         t = old.template
         new_values = dict(old.values)
         for slot, v in updates.items():
@@ -620,14 +611,12 @@ class Engine:
             if not is_slot_value(v):
                 raise TypeError(f"slot {slot}: not a slot value: {v!r}")
             new_values[slot] = v
-        self._modify_internal(fid, new_values, Why(None, self._seq))
-        self._external(produced=self._wm[fid])
+        self._external(produced=self._modify_internal(fid, new_values, Why(None, self._seq)))
 
-    def run(self, limit: int | None = None) -> RunResult:
-        """Fire until the agenda empties (or `limit` firings)."""
+    def run(self, limit: int | None = None) -> int:
+        """Fire until the agenda empties (or `limit` firings); returns the
+        number of firings."""
         fired = 0
-        log = self.firelog
-        log_start = len(log) if isinstance(log, list) else None
         agenda = self._agenda
         wm = self._wm
         while agenda and (limit is None or fired < limit):
@@ -638,7 +627,7 @@ class Engine:
             else:
                 fired += 1
                 self._fire(ri, ids, facts, bindings)
-        return RunResult(fired, [] if log_start is None else log[log_start:])
+        return fired
 
     def run_query(self, name: str, arguments: Mapping[str, SlotValue], view: WmView | None = None) -> list[QueryRow]:
         """Enumerate all fact combinations satisfying the query. WM untouched."""
@@ -794,7 +783,6 @@ class Engine:
         self.fire_counts[rule.name] += 1
         seq = self._seq
         self._seq += 1
-        wm = self._wm
         why = Why(rule.name, seq, facts)
         log = self._log
         local = dict(bindings)
@@ -816,22 +804,19 @@ class Engine:
                 elif kind == "retract":
                     for var in step[1]:
                         fid = local[var]
-                        if fid not in wm:
-                            raise UnknownFactId(f"no live fact {fid}")
-                        self._retract_internal(fid)
+                        self.fact(fid)  # UnknownFactId unless live
+                        self._write(fid, None)
                         retracted.append(fid)
                 elif kind == "modify":
                     fid = local[step[1]]
-                    if fid not in wm:
-                        raise UnknownFactId(f"no live fact {fid}")
-                    new_values = dict(wm[fid].values)
+                    new_values = dict(self.fact(fid).values)
                     for slot, get in step[2]:
                         new_values[slot] = get(local)
                     # validation makes every modified fact a consumed one
-                    self._modify_internal(fid, new_values, _fold(why, ids.index(fid)))
+                    new = self._modify_internal(fid, new_values, _fold(why, ids.index(fid)))
                     produced.append(fid)
                     if log is not None:
-                        snaps.append(_logged(wm[fid]))
+                        snaps.append(_logged(new))
                 else:  # bind
                     local[step[1]] = step[2](local)
         except (RuntimeEvalError, UnknownFactId, WouldDuplicate) as exc:
@@ -857,43 +842,44 @@ class Engine:
         existing = self._dup.get(fact.key)
         if existing is not None:
             return AssertResult(existing, False)
-        fid = self._next_id
+        fid = fact.id = self._next_id
         self._next_id += 1
-        fact.id = fid
-        self._wm[fid] = fact
-        self._by_template.setdefault(fact.template.name, set()).add(fid)
-        self._changes[fid] = fact
-        self._dup[fact.key] = fid
-        self._tick += 1
-        self._pending = []
-        self._propagate(fact)
-        self._flush_pending()
+        self._write(fid, fact)
         return AssertResult(fid, True)
 
-    def _retract_internal(self, fid: int) -> None:
-        fact = self._wm.pop(fid)
-        self._by_template[fact.template.name].discard(fid)
-        if fid >= self._view_next_id:
-            del self._changes[fid]  # born since the last view, which never saw it
-        else:
-            self._changes[fid] = None
-        del self._dup[fact.key]
-        self._tick += 1
-        self._teardown(fid)
-        # retraction creates no activations
-
-    def _modify_internal(self, fid: int, new_values: dict, why: Why) -> None:
-        old = self._wm[fid]
-        new = Fact(old.template, new_values, id=fid, why=why)
+    def _modify_internal(self, fid: int, new_values: dict, why: Why) -> Fact:
+        new = Fact(self._wm[fid].template, new_values, id=fid, why=why)
         hit = self._dup.get(new.key)
         if hit is not None and hit != fid:
             raise WouldDuplicate(f"update of fact {fid} collides with live fact {hit}")
-        del self._dup[old.key]
-        self._dup[new.key] = fid
-        self._wm[fid] = new
-        self._changes[fid] = new
+        self._write(fid, new)
+        return new
+
+    def _write(self, fid: int, new: Fact | None) -> None:
+        """The one working-memory write: put `new` at `fid` (an assert, or a
+        modify, which keeps the fact's place in the WM), or retract `fid` if
+        `new` is None. Keeps the indexes and the changes since the last view,
+        tears down the old version's join-memory entries and propagates the
+        new one."""
+        wm = self._wm
+        old = wm.get(fid)
+        if old is not None:
+            del self._dup[old.key]
+            self._teardown(fid)
         self._tick += 1
-        self._teardown(fid)
+        if new is None:
+            del wm[fid]
+            self._by_template[old.template.name].discard(fid)
+            if fid >= self._view_next_id:
+                del self._changes[fid]  # born since the last view, which never saw it
+            else:
+                self._changes[fid] = None
+            return  # retraction creates no activations
+        if old is None:
+            self._by_template.setdefault(new.template.name, set()).add(fid)
+        wm[fid] = new
+        self._dup[new.key] = fid
+        self._changes[fid] = new
         self._pending = []
         self._propagate(new)
         self._flush_pending()

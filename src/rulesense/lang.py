@@ -74,6 +74,17 @@ _FLOAT_RE = re.compile(
     r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?\Z|[+-]?[0-9]+[eE][+-]?[0-9]+\Z"
 )
 
+
+def parse_number(word: str) -> int | float | None:
+    """The int or float a bare word denotes in KB syntax, or None if it is
+    not a number there."""
+    if _INT_RE.match(word):
+        return int(word)
+    if _FLOAT_RE.match(word):
+        return float(word)
+    return None
+
+
 # Typographic quotes normalize to their straight forms before lexing; the
 # replacements are all single characters so token positions stay true.
 _QUOTE_NORMALIZATION = str.maketrans({"\u201c": '"', "\u201d": '"', "\u2018": "'", "\u2019": "'"})
@@ -166,10 +177,8 @@ def tokenize(text: str) -> list[Token]:
             toks.append(Token(ARROW, word, tline, tcol))
         elif word == "<-":
             toks.append(Token(ADDR, word, tline, tcol))
-        elif _INT_RE.match(word):
-            toks.append(Token(INT, int(word), tline, tcol))
-        elif _FLOAT_RE.match(word):
-            toks.append(Token(FLOAT, float(word), tline, tcol))
+        elif (num := parse_number(word)) is not None:
+            toks.append(Token(INT if type(num) is int else FLOAT, num, tline, tcol))
         else:
             toks.append(Token(SYM, word, tline, tcol))
     toks.append(Token(EOF, None, line, col))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
+from . import lang
 from .engine import (
     Engine,
     ExplainNode,
@@ -45,7 +46,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0: ephemeral
     delay_correction_ms: int = 0
-    include_dummy: bool = False
 
     def __post_init__(self):
         if self.delay_correction_ms < 0:
@@ -53,17 +53,10 @@ class ServiceConfig:
 
 
 def coerce_arg(s: str):
-    """Query-string value to slot value: integer if it parses as one, then
-    float, otherwise text."""
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)
-    except ValueError:
-        pass
-    return s
+    """Query-string value to slot value: a number if it is one in the KB's own
+    syntax (`lang.parse_number`), otherwise text."""
+    n = lang.parse_number(s)
+    return s if n is None else n
 
 
 def explain_to_obj(node: ExplainNode) -> str:
@@ -141,19 +134,19 @@ class QueryService:
         snap, _ = self.current()
         if path.startswith("/queries/"):
             qname = unquote(path[len("/queries/") :])
-            params = {k: coerce_arg(vs[0]) for k, vs in parse_qs(query, keep_blank_values=True).items()}
             try:
+                # coercion raises ValueError on a number too long to convert
+                params = {k: coerce_arg(vs[0]) for k, vs in parse_qs(query, keep_blank_values=True).items()}
                 rows = shaped_query(
                     self.engine,
                     qname,
                     params,
                     view=snap,
                     delay_correction_ms=self.config.delay_correction_ms,
-                    include_dummy=self.config.include_dummy,
                 )
             except UnknownQuery as exc:
                 return 404, {"error": str(exc)}
-            except (MissingParameter, UnknownParameter, TypeError) as exc:
+            except (MissingParameter, UnknownParameter, TypeError, ValueError) as exc:
                 return 400, {"error": str(exc)}
             return 200, {"query": qname, "params": params, "results": rows}
         if path == "/facts":

@@ -1,21 +1,21 @@
 """Application layer over the location-tracking knowledge base.
 
 Loads the shipped KB, wires registry + replay + engine into one pipeline, and
-shapes query results into presentation rows: epoch ms alongside HH:MM:SS
-(UTC), a configurable broadcast-delay correction on journey durations, and
-bootstrap-placeholder filtering on location history. Corrections happen here
-only; facts in working memory are never adjusted.
+shapes query results into presentation rows in one place, `shaped_query`:
+epoch ms alongside HH:MM:SS (UTC) on every tracking row, a configurable
+broadcast-delay correction on journey durations, and bootstrap-placeholder
+filtering on location history. Corrections happen here only; facts in working
+memory are never adjusted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from typing import Iterable
 
 from . import lang
-from .engine import Engine, QueryRow, WmView
+from .engine import Engine, WmView
 from .facts import Symbol
 from .ingest import DUMMY_LOC, FeedStats, Registry, bootstrap, replay
 
@@ -79,97 +79,10 @@ def render_value(v) -> object:
     return v.name if type(v) is Symbol else v
 
 
-@dataclass(frozen=True, slots=True)
-class JourneyRow:
-    name: str
-    endA: str
-    endB: str
-    tStart: int
-    tFinish: int
-    distance: float
-    tTaken: int
-    velocity: float
-    corrected_tTaken: int
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "endA": self.endA,
-            "endB": self.endB,
-            "tStart": self.tStart,
-            "tFinish": self.tFinish,
-            "tStart_hms": hms(self.tStart),
-            "tFinish_hms": hms(self.tFinish),
-            "distance": self.distance,
-            "tTaken": self.tTaken,
-            "velocity": self.velocity,
-            "corrected_tTaken": self.corrected_tTaken,
-        }
-
-
-def journey_rows(rows: list[QueryRow], delay_correction_ms: int = 0) -> list[JourneyRow]:
-    """find_journeys results as rows. tTaken and velocity are copied from the
-    facts untouched; the correction (max 0, one broadcast delay per corridor
-    end) is presentation-only."""
-    if delay_correction_ms < 0:
-        raise ValueError("delay_correction_ms must be >= 0")
-    out = []
-    for r in rows:
-        b = r.bindings
-        tTaken = b["tTaken"]
-        out.append(
-            JourneyRow(
-                name=b["name"],
-                endA=str(b["endA"]),
-                endB=str(b["endB"]),
-                tStart=b["tStart"],
-                tFinish=b["tFinish"],
-                distance=b["distance"],
-                tTaken=tTaken,
-                velocity=b["velocity"],
-                corrected_tTaken=max(0, tTaken - 2 * delay_correction_ms),
-            )
-        )
-    return out
-
-
-def where_rows(rows: list[QueryRow]) -> list[dict]:
-    out = []
-    for r in rows:
-        b = r.bindings
-        out.append(
-            {
-                "name": b["name"],
-                "location": str(b["location"]),
-                "tStart": b["tStart"],
-                "tFinish": b["tFinish"],
-                "tStart_hms": hms(b["tStart"]),
-                "tFinish_hms": hms(b["tFinish"]),
-            }
-        )
-    return out
-
-
-def history_rows(rows: list[QueryRow], include_dummy: bool = False) -> list[dict]:
-    """location_history results; the registry's bootstrap placeholder rows are
-    noise, kept out unless asked for."""
-    out = []
-    for r in rows:
-        b = r.bindings
-        loc = b["location"]
-        if not include_dummy and type(loc) is Symbol and loc.name == DUMMY_LOC.name:
-            continue
-        out.append(
-            {
-                "name": b["name"],
-                "location": str(loc),
-                "tStart": b["tStart"],
-                "tFinish": b["tFinish"],
-                "tStart_hms": hms(b["tStart"]),
-                "tFinish_hms": hms(b["tFinish"]),
-            }
-        )
-    return out
+def _times(b: dict) -> dict:
+    """The time fields of a tracking row, in row order."""
+    t0, t1 = b["tStart"], b["tFinish"]
+    return {"tStart": t0, "tFinish": t1, "tStart_hms": hms(t0), "tFinish_hms": hms(t1)}
 
 
 def shaped_query(
@@ -180,16 +93,39 @@ def shaped_query(
     delay_correction_ms: int = 0,
     include_dummy: bool = False,
 ) -> list[dict]:
-    """Run a named query and shape rows for output. The three tracking
-    queries get their dedicated row forms; anything else is generic
-    bindings plus the matched fact ids."""
+    """Run a named query and shape its rows for output.
+
+    find_journeys rows copy tTaken and velocity from the facts untouched and
+    add corrected_tTaken: tTaken less one broadcast delay per corridor end,
+    clamped at 0. where_is and location_history rows share one form;
+    location_history leaves out the registry's bootstrap placeholder rows
+    unless include_dummy. Any other query gives its bindings plus the matched
+    fact ids.
+    """
+    if delay_correction_ms < 0:
+        raise ValueError("delay_correction_ms must be >= 0")
     rows = engine.run_query(name, arguments, view=view)
     if name == "find_journeys":
-        return [j.as_dict() for j in journey_rows(rows, delay_correction_ms)]
-    if name == "where_is":
-        return where_rows(rows)
-    if name == "location_history":
-        return history_rows(rows, include_dummy=include_dummy)
+        return [
+            {
+                "name": b["name"],
+                "endA": str(b["endA"]),
+                "endB": str(b["endB"]),
+                **_times(b),
+                "distance": b["distance"],
+                "tTaken": b["tTaken"],
+                "velocity": b["velocity"],
+                "corrected_tTaken": max(0, b["tTaken"] - 2 * delay_correction_ms),
+            }
+            for b in (r.bindings for r in rows)
+        ]
+    if name in ("where_is", "location_history"):
+        hide_dummy = name == "location_history" and not include_dummy
+        return [
+            {"name": b["name"], "location": str(b["location"]), **_times(b)}
+            for b in (r.bindings for r in rows)
+            if not (hide_dummy and b["location"] == DUMMY_LOC)
+        ]
     return [
         {"bindings": {k: render_value(v) for k, v in sorted(r.bindings.items())}, "fact_ids": list(r.fact_ids)}
         for r in rows

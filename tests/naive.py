@@ -9,7 +9,7 @@ the same value vocabulary (Symbol/str/int/float), nothing else.
 Shared semantics, derived independently from the contract:
 - a mutation's new activations are exactly the full matches involving the
   mutated fact, ordered by (rule definition index, fact-id tuple);
-- firing picks the максимум of (salience, recency = max fact id, seq);
+- firing picks the maximum of (salience, recency = max fact id, seq);
 - refraction per (rule, ids), cleared when a member is retracted/modified;
 - a failing RHS aborts the rest of that firing but keeps earlier effects.
 """

@@ -114,6 +114,26 @@ def test_query_exclude_rule_changes_the_answer(capsys):
     assert len(rows) == 3
 
 
+def test_query_a_person_whose_name_python_reads_as_a_number(tmp_path, capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_text(
+        json.dumps(
+            {
+                "persons": [{"name": "Infinity", "deviceAddress": "A1B2"}],
+                "corridors": [{"enda": "730", "endb": "740", "length": 20.0}],
+            }
+        ),
+        encoding="utf-8",
+    )
+    rc = run_cli(
+        "query", "--registry", str(registry), "--replay", str(FIXTURES / "s1_replay.jsonl"),
+        "--query", "where_is", "--arg", "name=Infinity",
+    )
+    assert rc == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert (row["name"], row["location"]) == ("Infinity", "740")
+
+
 def test_query_unknown_name_fails_cleanly(capsys):
     rc = run_cli("query", *s1_args(), "--query", "no_such_query")
     assert rc == 1

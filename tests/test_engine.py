@@ -162,7 +162,7 @@ def test_empty_modify_is_a_silent_noop():
     logged = len(e.firelog)
     e.modify_fact(fid, {})
     assert len(e.firelog) == logged
-    assert e.run().fired == 0  # no re-activation either
+    assert e.run() == 0  # no re-activation either
 
 
 def test_modify_collision_raises_and_changes_nothing():
@@ -194,9 +194,8 @@ def test_basic_fire_produces_fact():
     e = eng(ITEMS)
     fid = e.assert_fact("Item", {"kind": Symbol("a"), "n": 5}).fact_id
     assert e.agenda_size() == 1
-    res = e.run()
-    assert res.fired == 1
-    (entry,) = [x for x in res.entries if x.rule == "finish"]
+    assert e.run() == 1
+    (entry,) = [x for x in e.firelog if x.rule == "finish"]
     assert entry.consumed == (fid,)
     assert len(entry.produced) == 1
     assert e.fact(entry.produced[0]).value("kind") == Symbol("a")
@@ -205,11 +204,11 @@ def test_basic_fire_produces_fact():
 def test_refraction_blocks_refire():
     e = eng(ITEMS)
     e.assert_fact("Item", {"kind": Symbol("a"), "n": 5})
-    assert e.run().fired == 1
-    assert e.run().fired == 0
+    assert e.run() == 1
+    assert e.run() == 0
     # an unrelated assert must not resurrect the old activation
     e.assert_fact("Item", {"kind": Symbol("b"), "n": 1})
-    assert e.run().fired == 0
+    assert e.run() == 0
 
 
 def test_retraction_cancels_pending_activation():
@@ -218,15 +217,15 @@ def test_retraction_cancels_pending_activation():
     assert e.agenda_size() == 1
     e.retract_fact(fid)
     assert e.agenda_size() == 0
-    assert e.run().fired == 0
+    assert e.run() == 0
 
 
 def test_modify_reopens_refraction():
     e = eng(ITEMS)
     fid = e.assert_fact("Item", {"kind": Symbol("a"), "n": 3}).fact_id
-    assert e.run().fired == 1
+    assert e.run() == 1
     e.modify_fact(fid, {"n": 4})
-    assert e.run().fired == 1  # same ids, fresh version: allowed to fire again
+    assert e.run() == 1  # same ids, fresh version: allowed to fire again
     # the duplicate Done from the refire is silently dropped
     assert len(e.facts("Done")) == 1
 
@@ -236,7 +235,7 @@ def test_modify_to_same_values_still_rematches():
     fid = e.assert_fact("Item", {"kind": Symbol("a"), "n": 3}).fact_id
     e.run()
     e.modify_fact(fid, {"n": 3})
-    assert e.run().fired == 1
+    assert e.run() == 1
 
 
 def test_salience_strictly_dominates_recency():
@@ -259,8 +258,8 @@ def test_recency_breaks_salience_ties():
     e = eng(ITEMS)
     e.assert_fact("Item", {"kind": Symbol("a"), "n": 5})
     newer = e.assert_fact("Item", {"kind": Symbol("b"), "n": 5}).fact_id
-    res = e.run()
-    first = [x for x in res.entries if x.rule][0]
+    e.run()
+    first = [x for x in e.firelog if x.rule][0]
     assert first.consumed == (newer,)
 
 
@@ -289,9 +288,9 @@ def test_run_limit_leaves_rest_on_agenda():
         """
     )
     e.assert_fact("C", {"n": 0})
-    assert e.run(limit=2).fired == 2
+    assert e.run(limit=2) == 2
     assert e.fact(1).value("n") == 2
-    assert e.run().fired == 3
+    assert e.run() == 3
     assert e.fact(1).value("n") == 5
 
 
@@ -303,16 +302,16 @@ def test_zero_pattern_rule_fires_once_at_startup():
         (defrule never (test (< 2 1)) => (assert (Done (kind no))))
         """
     )
-    assert e.run().fired == 1
+    assert e.run() == 1
     assert [f.value("kind") for f in e.facts("Done")] == [Symbol("start")]
-    assert e.run().fired == 0
+    assert e.run() == 0
 
 
 def test_top_level_asserts_seed_wm_and_log():
     e = eng(ITEMS + '(assert (Item (kind seed) (n 9)))')
     assert [f.value("kind") for f in e.facts("Item")] == [Symbol("seed")]
     assert e.firelog[0].rule is None and e.firelog[0].produced == (1,)
-    assert e.run().fired == 1
+    assert e.run() == 1
 
 
 # ------------------------------------------------------------
@@ -431,9 +430,8 @@ def test_rhs_error_aborts_but_keeps_prior_effects():
         """
     )
     e.assert_fact("Item", {"kind": Symbol("a"), "n": 1})
-    res = e.run()
-    assert res.fired == 1
-    (entry,) = [x for x in res.entries if x.rule == "bad"]
+    assert e.run() == 1
+    (entry,) = [x for x in e.firelog if x.rule == "bad"]
     assert entry.error and "RuntimeEvalError" in entry.error
     assert [f.value("kind") for f in e.facts("Done")] == [Symbol("a")]
 
@@ -446,8 +444,8 @@ def test_double_retract_of_same_address_aborts():
         """
     )
     fid = e.assert_fact("Item", {"kind": Symbol("a")}).fact_id
-    res = e.run()
-    (entry,) = [x for x in res.entries if x.rule == "eat"]
+    e.run()
+    (entry,) = [x for x in e.firelog if x.rule == "eat"]
     assert entry.retracted == (fid,)
     assert entry.error and "UnknownFactId" in entry.error
     assert e.facts() == []
@@ -462,8 +460,8 @@ def test_rule_level_modify_collision_is_logged_not_raised():
     )
     e.assert_fact("Item", {"kind": Symbol("a"), "n": 1})
     b = e.assert_fact("Item", {"kind": Symbol("a"), "n": 2}).fact_id
-    res = e.run()
-    (entry,) = [x for x in res.entries if x.rule == "clash"]
+    e.run()
+    (entry,) = [x for x in e.firelog if x.rule == "clash"]
     assert entry.error and "WouldDuplicate" in entry.error
     assert e.fact(b).value("n") == 2  # failed modify left the fact alone
 
@@ -485,6 +483,7 @@ def test_rule_level_modify_collision_is_logged_not_raised():
         ("(bind ?z (+ ?k (/ ?n 0)))", "RuntimeEvalError: division by zero"),
         ("(bind ?z (< (+ 1 ?k) \"x\"))", "RuntimeEvalError: arithmetic on non-number a"),
         ("(retract ?i ?i)", "UnknownFactId: no live fact 1"),
+        ("(retract ?i) (modify ?i (n 3))", "UnknownFactId: no live fact 1"),
         ("(modify ?i (n 2))", "WouldDuplicate: update of fact 1 collides with live fact 2"),
     ],
 )
@@ -497,7 +496,8 @@ def test_rhs_error_text_in_the_fire_log(rhs, error):
     )
     e.assert_fact("Item", {"kind": Symbol("a"), "n": 1})
     e.assert_fact("Item", {"kind": Symbol("a"), "n": 2})
-    (entry,) = [x for x in e.run().entries if x.rule == "bad"]
+    e.run()
+    (entry,) = [x for x in e.firelog if x.rule == "bad"]
     assert entry.error == error
 
 
@@ -585,7 +585,7 @@ def test_fire_counts_and_the_default_log():
         drive_chatty(e)
     assert counted.fire_counts == logged.fire_counts == {"cook": 2, "tally": 2}
     assert len(counted.firelog) == 0 and list(counted.firelog) == []
-    assert counted.run().entries == []
+    assert counted.run() == 0 and len(counted.firelog) == 0
     # provenance does not depend on the log being kept
     for c in counted.facts():
         assert counted.explain(c.id) == logged.explain(c.id)

@@ -53,6 +53,9 @@ def test_query_endpoint_parameter_errors(served):
     assert status == 400 and "name" in body["error"]
     status, body = get(port, "/queries/where_is?name=Pete&extra=1")
     assert status == 400 and "extra" in body["error"]
+    # a number in KB syntax too long for Python to convert
+    status, body = get(port, "/queries/where_is?name=" + "9" * 5000)
+    assert status == 400 and "digits" in body["error"]
 
 
 def test_query_endpoint_unknown_query(served):
@@ -144,6 +147,9 @@ def test_coerce_arg_types():
     assert coerce_arg("-3") == -3
     assert coerce_arg("Pete") == "Pete"
     assert coerce_arg("") == ""
+    # only the KB's own number syntax becomes a number
+    for text in ("nan", "Infinity", "1_000", " 5"):
+        assert coerce_arg(text) == text
 
 
 def test_stop_is_idempotent(registry_s1, s1_replay_path):

@@ -42,15 +42,28 @@ def same_wm(a: dict, b: dict) -> bool:
     return a.keys() == b.keys() and all(a[k] is b[k] for k in a)
 
 
-def check_view(view: WmView, oracle: dict) -> None:
-    assert len(view) == len(oracle)
-    assert view.facts() == [oracle[i] for i in sorted(oracle)]
-    for t in TEMPLATES:
-        want = sorted(i for i, f in oracle.items() if f.template.name == t)
-        assert sorted(view.ids_for_template(t)) == want
-        assert view.facts(t) == [oracle[i] for i in want]
-    for fid, f in oracle.items():
-        assert view.fact(fid) is f
+def check_view(view: WmView, oracle: dict, first: int = 0) -> None:
+    """Check every read of `view` against `oracle`, starting with read
+    `first` (0: facts, 1: ids_for_template, 2: fact), so that each of them is
+    sometimes the read that copies a delta view."""
+
+    def whole():
+        assert len(view) == len(oracle)
+        assert view.facts() == [oracle[i] for i in sorted(oracle)]
+
+    def by_template():
+        for t in TEMPLATES:
+            want = sorted(i for i, f in oracle.items() if f.template.name == t)
+            assert sorted(view.ids_for_template(t)) == want
+            assert view.facts(t) == [oracle[i] for i in want]
+
+    def each():
+        for fid, f in oracle.items():
+            assert view.fact(fid) is f
+
+    reads = [whole, by_template, each]
+    for read in reads[first:] + reads[:first]:
+        read()
 
 
 def apply(e: Engine, op: tuple) -> None:
@@ -91,7 +104,7 @@ def test_views_match_full_copy_oracle_in_any_read_order(program, data):
         assert (views[i] is views[i - 1]) == same_wm(oracles[i], oracles[i - 1])
     order = data.draw(st.permutations(range(len(views))))
     for i in order:
-        check_view(views[i], oracles[i])
+        check_view(views[i], oracles[i], data.draw(st.integers(0, 2)))
     for i in order:  # a second read answers from the materialized copy
         check_view(views[i], oracles[i])
 

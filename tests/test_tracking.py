@@ -7,7 +7,6 @@ from rulesense.facts import Symbol
 from rulesense.tracking import (
     build_tracking_kb,
     hms,
-    journey_rows,
     load_engine,
     run_pipeline,
     shaped_query,
@@ -140,7 +139,7 @@ def test_delay_correction_is_presentation_only(registry_s1, timed_replay_path):
 
 def test_negative_delay_correction_rejected():
     with pytest.raises(ValueError):
-        journey_rows([], delay_correction_ms=-1)
+        shaped_query(load_engine(), "find_journeys", {"name": "Pete"}, delay_correction_ms=-1)
 
 
 # ------------------------------------------------------------
