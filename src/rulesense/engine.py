@@ -4,11 +4,14 @@ Working memory with set semantics, incremental left-to-right matching, an
 agenda ordered by salience / recency / insertion sequence, a replayable fire
 log, on-demand queries, and derivation trees.
 
-Matching keeps one memory shape on both sides of every join (as in Rete/UL):
-a rule's `right[lvl]` holds the facts that match pattern `lvl`, its
-`left[lvl]` the partial matches of patterns 1..`lvl`, and each maps a join key
-to {fact-id tuple: bindings}. One `fid -> handles` map finds the entries that
-hold a fact when it goes.
+A match is the tuple of the fact versions it matched and nothing else: each
+rule variable compiles once to a read at a fixed position of that tuple (its
+environment, which an RHS `bind` extends). Matching keeps one memory shape on
+both sides of every join (as in Rete/UL): a rule's `right[lvl]` holds the
+facts that match pattern `lvl`, its `left[lvl]` the partial matches of
+patterns 1..`lvl`, each under a join key read from `Fact.key`. A fact leaves
+the memories as it entered them (as in Forgy's Rete): a retract or modify
+walks the old version through the same joins, so no index of entries is kept.
 
 Provenance lives on the facts, not in the log: each fact version's `why`
 names the rule, the fire-log seq and the consumed versions that made it, and
@@ -22,7 +25,7 @@ nothing; per-rule counts are in `fire_counts` either way.
 Refraction (an activation fires at most once) needs no memory of fired
 activations. Every activation a mutation creates contains the mutated fact:
 an assert's fact has a fresh id, so its combinations are new, and a modify
-tears down every memory entry that holds the fact before it re-propagates, so
+takes the old version out of every memory before the new one goes in, so
 every combination it creates holds the new version. No mutation can
 re-create an activation that already fired. An activation carries the fact
 versions it matched, and is cancelled once one is no longer in the WM.
@@ -41,6 +44,7 @@ import operator
 import threading
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from . import lang
@@ -49,6 +53,7 @@ from .facts import (
     KbError,
     SlotValue,
     Symbol,
+    Template,
     TemplateRegistry,
     UnknownSlot,
     UnknownTemplate,
@@ -115,12 +120,34 @@ def eval_expr(e: lang.Expr, bindings: Mapping[str, object]) -> object:
     Arithmetic on non-numeric operands raises RuntimeEvalError; comparisons on
     non-numeric operands are plain false. Division always yields float.
     """
-    return _compile_value(e)(bindings)
+    where = {name: (pos, None, None) for pos, name in enumerate(bindings)}
+    return _compile_value(e, where)(tuple(bindings.values()))
 
 
-def _compile_value(e: lang.Expr):
-    """Close an expression into a thunk of the bindings: the engine's one
-    evaluator, for tests, RHS actions and top-level asserts alike.
+_ADDRESS = "<-"  # the slot of a fact address in `where`; `<-` is no slot name
+
+
+def _read(where: dict, name: str):
+    """Read variable `name` from an environment (a match's facts, then the
+    values its RHS binds) through `where`: name -> (position, slot index,
+    slot), where slot None means the position holds the value itself."""
+    if name not in where:
+
+        def unbound(env):
+            raise RuntimeEvalError(f"unbound variable ?{name}")
+
+        return unbound
+    pos, _, slot = where[name]
+    if slot is None:
+        return lambda env: env[pos]
+    if slot == _ADDRESS:
+        return lambda env: env[pos].id
+    return lambda env: env[pos].values[slot]
+
+
+def _compile_value(e: lang.Expr, where: dict):
+    """Close an expression into a function of an environment (`_read`): the
+    engine's one evaluator, for tests, RHS actions and top-level asserts alike.
 
     Every operand is evaluated, left to right, before the operator checks
     any of them, so the first error an expression raises does not depend on
@@ -131,17 +158,9 @@ def _compile_value(e: lang.Expr):
         v = e.value
         return lambda b: v
     if type(e) is lang.Var:
-        name = e.name
-
-        def read(b, name=name):
-            try:
-                return b[name]
-            except KeyError:
-                raise RuntimeEvalError(f"unbound variable ?{name}") from None
-
-        return read
+        return _read(where, e.name)
     op = e.op
-    gets = tuple(_compile_value(a) for a in e.args)
+    gets = tuple(_compile_value(a, where) for a in e.args)
     if len(gets) < 2 or (op not in _ARITH and op not in _CMP and op not in ("eq", "neq")):
         msg = f"{op} needs at least 2 arguments" if op in lang.OPS else f"unknown operator {op}"
 
@@ -219,46 +238,46 @@ def _compile_value(e: lang.Expr):
     return eqn
 
 
-def _tests_ok(tests: tuple, bindings: Mapping[str, object]) -> bool:
+def _tests_ok(tests: tuple, env: tuple) -> bool:
     # An eval error inside an LHS test filters the match; it never aborts a run.
     try:
         for t in tests:
-            if t(bindings) is not True:
+            if t(env) is not True:
                 return False
     except RuntimeEvalError:
         return False
     return True
 
 
-def _compile_slot_value(e: lang.Expr):
-    get = _compile_value(e)
-
-    def slot_value(b, get=get):
-        v = get(b)
-        if v is True or v is False or not is_slot_value(v):
-            raise RuntimeEvalError(f"not a slot value: {v!r}")
-        return v
-
-    return slot_value
+def _slot_value(v: object) -> SlotValue:
+    if v is True or v is False or not is_slot_value(v):
+        raise RuntimeEvalError(f"not a slot value: {v!r}")
+    return v
 
 
-def _compile_action(action, templates: TemplateRegistry):
-    """Lower one RHS action to a dispatch tuple with slot thunks resolved."""
-    if isinstance(action, lang.AssertAction):
-        specs = tuple(
-            (
-                templates.get(spec.template),
-                tuple((slot, _compile_slot_value(e)) for slot, e in spec.slots),
-            )
-            for spec in action.facts
-        )
-        return ("assert", specs)
-    if isinstance(action, lang.RetractAction):
-        return ("retract", tuple(action.variables))
-    if isinstance(action, lang.ModifyAction):
-        updates = tuple((slot, _compile_slot_value(e)) for slot, e in action.updates)
-        return ("modify", action.variable, updates)
-    return ("bind", action.variable, _compile_value(action.expr))
+def _compile_slots(slots: tuple, where: dict) -> tuple:
+    return tuple((slot, _compile_value(e, where)) for slot, e in slots)
+
+
+def _compile_rhs(rhs: tuple, templates: TemplateRegistry, where: dict, size: int) -> tuple:
+    """Lower RHS actions to dispatch tuples. Retract and modify name pattern
+    positions; a bind appends its value to the environment (`size` long so
+    far), and the actions after it read that position."""
+    where = dict(where)
+    prog: list[tuple] = []
+    for a in rhs:
+        if isinstance(a, lang.AssertAction):
+            specs = [(templates.get(s.template), _compile_slots(s.slots, where)) for s in a.facts]
+            prog.append(("assert", tuple(specs)))
+        elif isinstance(a, lang.RetractAction):
+            prog.append(("retract", tuple(where[v][0] for v in a.variables)))
+        elif isinstance(a, lang.ModifyAction):
+            prog.append(("modify", where[a.variable][0], _compile_slots(a.updates, where)))
+        else:
+            prog.append(("bind", _compile_value(a.expr, where)))
+            where[a.variable] = (size, None, None)
+            size += 1
+    return tuple(prog)
 
 
 # ============================================================
@@ -267,69 +286,68 @@ def _compile_action(action, templates: TemplateRegistry):
 
 
 class _CPattern:
-    __slots__ = ("template", "literals", "var_slots", "address", "jvars", "jslots")
+    """One pattern at a fixed environment position, compiled against the
+    `Fact.key` of its template: `ok(fk)` checks a fact's key for the
+    pattern's literals and repeated variables (None if it has neither),
+    `rkey(fk)` reads its join key from a fact's key, and `lkey(env)` reads
+    the same key from the facts of the earlier patterns."""
 
-    def __init__(self, p: lang.Pattern):
+    __slots__ = ("template", "ok", "rkey", "lkey")
+
+    def __init__(self, p: lang.Pattern, pos: int, where: dict, templates: TemplateRegistry):
         self.template = p.template
-        self.literals: list[tuple[str, tuple]] = []
-        self.var_slots: list[tuple[str, str]] = []
-        self.address = p.address
+        slots = templates.get(p.template).slots
+        lits = []  # (slot index, value key)
+        same = []  # (slot index, slot index of the variable's first use here)
+        join = []  # (slot index, earlier position, slot index there)
+        here: dict[str, int] = {}
         for slot, c in p.slots:
-            if isinstance(c, lang.Var):
-                self.var_slots.append((slot, c.name))
+            i = slots.index(slot)
+            if isinstance(c, lang.Literal):
+                lits.append((i, value_key(c.value)))
+            elif c.name in here:
+                same.append((i, here[c.name]))
             else:
-                self.literals.append((slot, value_key(c.value)))
-        # join spec filled in by the rule compiler
-        self.jvars: tuple[str, ...] = ()
-        self.jslots: tuple[str, ...] = ()
+                here[c.name] = i
+                if c.name in where:
+                    join.append((i, *where[c.name][:2]))
+                else:
+                    where[c.name] = (pos, i, slot)
+        if p.address is not None:
+            where[p.address] = (pos, None, _ADDRESS)
+        # an itemgetter gives a value for one index and a tuple for more
+        self.ok = None
+        if lits:
+            gl = itemgetter(*[i for i, _ in lits])
+            want = lits[0][1] if len(lits) == 1 else tuple(k for _, k in lits)
+            self.ok = lambda fk: gl(fk) == want
+        if same:
+            ga, gb, lits_ok = itemgetter(*[i for i, _ in same]), itemgetter(*[j for _, j in same]), self.ok
+            self.ok = lambda fk: ga(fk) == gb(fk) and (lits_ok is None or lits_ok(fk))
+        self.rkey = itemgetter(*[i for i, _, _ in join]) if join else lambda fk: ()
+        if len(join) == 1:
+            ((_, wpos, wi),) = join
+            self.lkey = lambda env: env[wpos].key[1][wi]
+        else:  # () without a join
+            self.lkey = lambda env: tuple([env[wpos].key[1][wi] for _, wpos, wi in join])
 
-    def match(self, fact: Fact, bindings: dict | None = None) -> dict | None:
-        """Bindings of this pattern's variables in `fact`, extending a copy of
-        `bindings` if given; None if the fact does not match under them."""
-        vals = fact.values
-        for slot, key in self.literals:
-            if value_key(vals[slot]) != key:
-                return None
-        b: dict[str, object] = {} if bindings is None else dict(bindings)
-        for slot, var in self.var_slots:
-            v = vals[slot]
-            if var in b:
-                if value_key(b[var]) != value_key(v):
-                    return None
-            else:
-                b[var] = v
-        if self.address is not None:
-            b[self.address] = fact.id
-        return b
 
-
-def _compile_lhs(lhs: tuple) -> tuple[list[_CPattern], tuple[tuple, ...]]:
-    """Patterns, and the compiled tests to run as each join level completes
-    (index 0 holds the tests of a rule without patterns)."""
+def _compile_lhs(lhs: tuple, templates: TemplateRegistry, where: dict, pos: int) -> tuple[list[_CPattern], tuple]:
+    """Patterns, at environment positions from `pos` on, and the compiled
+    tests to run as each join level completes (index 0 holds the tests of a
+    rule without patterns). `where` gains each variable the patterns bind."""
     patterns: list[_CPattern] = []
     tests: list[list] = [[]]
     for ce in lhs:
         if isinstance(ce, lang.Pattern):
-            patterns.append(_CPattern(ce))
+            patterns.append(_CPattern(ce, pos + len(patterns), where, templates))
             tests.append([])
         else:
-            tests[-1].append(_compile_value(ce.expr))
+            tests[-1].append(_compile_value(ce.expr, where))
     if patterns:
         # constant tests ahead of the first pattern gate the first join level
         tests[1][0:0] = tests[0]
         tests[0] = []
-    # join variables: those of each pattern already bound by earlier patterns
-    bound: set[str] = set()
-    for pat in patterns:
-        seen: list[str] = []
-        slots: list[str] = []
-        for slot, var in pat.var_slots:
-            if var in bound and var not in seen:
-                seen.append(var)
-                slots.append(slot)
-        pat.jvars = tuple(seen)
-        pat.jslots = tuple(slots)
-        bound.update(v for _, v in pat.var_slots)
     return patterns, tuple(tuple(ts) for ts in tests)
 
 
@@ -340,21 +358,29 @@ class _CRule:
         self.name = r.name
         self.index = index
         self.salience = r.salience
-        self.patterns, self.tests = _compile_lhs(r.lhs)
-        self.prog = tuple(_compile_action(a, templates) for a in r.rhs)
+        where: dict = {}
+        self.patterns, self.tests = _compile_lhs(r.lhs, templates, where, 0)
         self.k = len(self.patterns)
+        self.prog = _compile_rhs(r.rhs, templates, where, self.k)
         # join memories by level (module docstring)
         self.left: list[dict] = [{} for _ in range(self.k + 1)]
         self.right: list[dict] = [{} for _ in range(self.k + 1)]
 
 
 class _CQuery:
-    __slots__ = ("name", "parameters", "patterns", "tests")
+    __slots__ = ("name", "parameters", "arguments", "patterns", "tests", "row")
 
-    def __init__(self, q: lang.QueryDef):
+    def __init__(self, q: lang.QueryDef, templates: TemplateRegistry):
         self.name = q.name
         self.parameters = q.parameters
-        self.patterns, self.tests = _compile_lhs(q.lhs)
+        # the arguments are one fact at position 0, of a template named after
+        # the query with the parameters as slots
+        self.arguments = Template(q.name, q.parameters)
+        where = {p: (0, i, p) for i, p in enumerate(q.parameters)}
+        self.patterns, self.tests = _compile_lhs(q.lhs, templates, where, 1)
+        # a row's bindings: the parameters, then each pattern's new variables
+        # and its address, in the order `where` gained them
+        self.row = tuple((name, _read(where, name)) for name in where)
 
 
 # ============================================================
@@ -517,18 +543,15 @@ class Engine:
 
         self.templates = TemplateRegistry()
         self._rules: list[_CRule] = []
-        self._rules_by_name: dict[str, _CRule] = {}
         self._queries: dict[str, _CQuery] = {}
         staged: list[lang.AssertSpec] = []
         for c in constructs:
             if isinstance(c, lang.TemplateDef):
                 self.templates.define(c.name, list(c.slots))
             elif isinstance(c, lang.RuleDef):
-                cr = _CRule(len(self._rules), c, self.templates)
-                self._rules.append(cr)
-                self._rules_by_name[c.name] = cr
+                self._rules.append(_CRule(len(self._rules), c, self.templates))
             elif isinstance(c, lang.QueryDef):
-                self._queries[c.name] = _CQuery(c)
+                self._queries[c.name] = _CQuery(c, self.templates)
             else:
                 staged.extend(c.facts)
 
@@ -552,10 +575,6 @@ class Engine:
         self._view_next_id = 1
         self._delta_entries = 0
 
-        # fid -> [(memory, join key, fact-id tuple)]: the join-memory entries
-        # that hold the fact, some of them stale (see _store)
-        self._handles: dict[int, list[tuple[dict, tuple, tuple]]] = {}
-
         # agenda
         self._agenda: list = []
         self._act_seq = 0
@@ -571,16 +590,15 @@ class Engine:
 
         # rules with no positive patterns activate once at load
         self._tick += 1
-        self._pending = []
         for cr in self._rules:
-            if cr.k == 0 and _tests_ok(cr.tests[0], {}):
-                self._pending.append((cr.index, (), {}))
+            if cr.k == 0 and _tests_ok(cr.tests[0], ()):
+                self._pending.append((cr.index, (), ()))
         self._flush_pending()
 
         # top-level asserts become initial facts, in source order, after the
         # whole network is built (so no rule misses them)
         for spec in staged:
-            values = {slot: _compile_slot_value(e)({}) for slot, e in spec.slots}
+            values = {slot: _slot_value(_compile_value(e, {})(())) for slot, e in spec.slots}
             self.assert_fact(spec.template, values)
 
     # ---------------- public API ----------------
@@ -620,13 +638,13 @@ class Engine:
         agenda = self._agenda
         wm = self._wm
         while agenda and (limit is None or fired < limit):
-            neg_sal, neg_rec, neg_seq, ri, ids, facts, bindings = heappop(agenda)
-            for fid, f in zip(ids, facts):
-                if wm.get(fid) is not f:
+            neg_sal, neg_rec, neg_seq, ri, ids, facts = heappop(agenda)
+            for f in facts:
+                if wm.get(f.id) is not f:
                     break  # cancelled: a fact it matched is gone or modified
             else:
                 fired += 1
-                self._fire(ri, ids, facts, bindings)
+                self._fire(ri, ids, facts)
         return fired
 
     def run_query(self, name: str, arguments: Mapping[str, SlotValue], view: WmView | None = None) -> list[QueryRow]:
@@ -645,24 +663,20 @@ class Engine:
                 raise TypeError(f"parameter ?{a}: not a slot value: {v!r}")
         if view is None:
             view = WmView(self._wm, self._by_template)
-        rows: list[QueryRow] = []
-        k = len(q.patterns)
-        base = {p: arguments[p] for p in q.parameters}
-
-        def walk(lvl: int, bindings: dict, ids: tuple) -> None:
-            if lvl > k:
-                rows.append(QueryRow(bindings, ids))
-                return
-            pat = q.patterns[lvl - 1]
-            tests = q.tests[lvl]
-            for fid in sorted(view.ids_for_template(pat.template)):
-                b2 = pat.match(view.fact(fid), bindings)
-                if b2 is None or not _tests_ok(tests, b2):
-                    continue
-                walk(lvl + 1, b2, ids + (fid,))
-
-        walk(1, base, ())
-        return rows
+        # the matches of patterns 1..lvl, level by level, in fact-id order
+        envs = [(Fact(q.arguments, {p: arguments[p] for p in q.parameters}),)]
+        for pat, tests in zip(q.patterns, q.tests[1:]):
+            facts = [view.fact(fid) for fid in sorted(view.ids_for_template(pat.template))]
+            if pat.ok is not None:
+                facts = [f for f in facts if pat.ok(f.key[1])]
+            extended = []
+            for env in envs:
+                key = pat.lkey(env)
+                for f in facts:
+                    if pat.rkey(f.key[1]) == key and _tests_ok(tests, env + (f,)):
+                        extended.append(env + (f,))
+            envs = extended
+        return [QueryRow({name: read(env) for name, read in q.row}, tuple(f.id for f in env[1:])) for env in envs]
 
     def explain(self, fid: int, view: WmView | None = None) -> ExplainNode:
         """Derivation tree of live fact `fid` in `view` (default: the live WM),
@@ -753,11 +767,7 @@ class Engine:
 
     def agenda_size(self) -> int:
         # live activations only (the heap may hold cancelled ones)
-        n = 0
-        for _, _, _, _, ids, facts, _ in self._agenda:
-            if all(self._wm.get(fid) is f for fid, f in zip(ids, facts)):
-                n += 1
-        return n
+        return sum(all(self._wm.get(f.id) is f for f in facts) for *_, facts in self._agenda)
 
     # ---------------- internals ----------------
 
@@ -778,14 +788,14 @@ class Engine:
                 )
             )
 
-    def _fire(self, ri: int, ids: tuple, facts: tuple, bindings: dict) -> None:
+    def _fire(self, ri: int, ids: tuple, facts: tuple) -> None:
         rule = self._rules[ri]
         self.fire_counts[rule.name] += 1
         seq = self._seq
         self._seq += 1
         why = Why(rule.name, seq, facts)
         log = self._log
-        local = dict(bindings)
+        env = list(facts)
         produced: list[int] = []
         retracted: list[int] = []
         snaps: list = []
@@ -795,30 +805,30 @@ class Engine:
                 kind = step[0]
                 if kind == "assert":
                     for t, slots in step[1]:
-                        fact = make_fact(t, {slot: get(local) for slot, get in slots})
+                        fact = make_fact(t, {slot: _slot_value(get(env)) for slot, get in slots})
                         fact.why = why
                         if self._assert_internal(fact).created:
                             produced.append(fact.id)
                             if log is not None:
                                 snaps.append(_logged(fact))
                 elif kind == "retract":
-                    for var in step[1]:
-                        fid = local[var]
+                    for pos in step[1]:
+                        fid = facts[pos].id
                         self.fact(fid)  # UnknownFactId unless live
                         self._write(fid, None)
                         retracted.append(fid)
                 elif kind == "modify":
-                    fid = local[step[1]]
+                    fid = facts[step[1]].id
                     new_values = dict(self.fact(fid).values)
                     for slot, get in step[2]:
-                        new_values[slot] = get(local)
+                        new_values[slot] = _slot_value(get(env))
                     # validation makes every modified fact a consumed one
                     new = self._modify_internal(fid, new_values, _fold(why, ids.index(fid)))
                     produced.append(fid)
                     if log is not None:
                         snaps.append(_logged(new))
                 else:  # bind
-                    local[step[1]] = step[2](local)
+                    env.append(step[1](env))
         except (RuntimeEvalError, UnknownFactId, WouldDuplicate) as exc:
             # abort this firing; effects already applied stay applied
             error = f"{type(exc).__name__}: {exc}"
@@ -859,13 +869,13 @@ class Engine:
         """The one working-memory write: put `new` at `fid` (an assert, or a
         modify, which keeps the fact's place in the WM), or retract `fid` if
         `new` is None. Keeps the indexes and the changes since the last view,
-        tears down the old version's join-memory entries and propagates the
-        new one."""
+        takes the old version out of the join memories and propagates the new
+        one."""
         wm = self._wm
         old = wm.get(fid)
         if old is not None:
             del self._dup[old.key]
-            self._teardown(fid)
+            self._propagate(old, add=False)
         self._tick += 1
         if new is None:
             del wm[fid]
@@ -884,74 +894,56 @@ class Engine:
         self._propagate(new)
         self._flush_pending()
 
-    def _teardown(self, fid: int) -> None:
-        """Remove every join-memory entry that holds fid: its own right-memory
-        entries and every partial match it is part of.
-
-        A modify calls this before it re-propagates the new version, which is
-        why refraction needs no memory of fired activations (module docstring).
-        """
-        for mem, key, ids in self._handles.pop(fid, ()):
-            bucket = mem.get(key)
-            if bucket is not None and bucket.pop(ids, None) is not None and not bucket:
-                del mem[key]
-
     # ----- incremental matching -----
 
-    def _propagate(self, fact: Fact) -> None:
+    def _propagate(self, fact: Fact, add: bool = True) -> None:
+        """Join a new fact into the memories of every pattern it matches; with
+        `add` False, take an old one out by walking the same joins."""
         subs = self._subs.get(fact.template.name)
         if not subs:
             return
-        ids = (fact.id,)
-        vals = fact.values
+        one = (fact,)
+        fk = fact.key[1]
         for rule, lvl in subs:
             pat = rule.patterns[lvl - 1]
-            contrib = pat.match(fact)
-            if contrib is None:
+            if pat.ok is not None and not pat.ok(fk):
                 continue
             if lvl == 1:
-                self._extend(rule, 1, ids, contrib)
+                self._extend(rule, 1, one, add)
                 continue
-            key = tuple(value_key(vals[s]) for s in pat.jslots)
-            self._store(rule.right[lvl], key, ids, contrib)
+            key = pat.rkey(fk)
+            if add:
+                rule.right[lvl].setdefault(key, {})[one] = None
+            else:
+                _drop(rule.right[lvl], key, one)
             partials = rule.left[lvl - 1].get(key)
             if partials:
-                for pids, bindings in partials.items():
-                    self._extend(rule, lvl, pids + ids, {**bindings, **contrib})
+                for p in partials:
+                    self._extend(rule, lvl, p + one, add)
 
-    def _extend(self, rule: _CRule, lvl: int, ids: tuple, bindings: dict) -> None:
+    def _extend(self, rule: _CRule, lvl: int, facts: tuple, add: bool = True) -> None:
         """Run level `lvl`'s tests on a match of patterns 1..`lvl`; queue it as
         an activation if it is complete, else store it in `left[lvl]` and join
         it with `right[lvl + 1]`. Join order does not matter: _flush_pending
-        orders the activations."""
-        if not _tests_ok(rule.tests[lvl], bindings):
+        orders the activations. With `add` False, take the match and every one
+        built on it out of the memories instead: one not in `left[lvl]` never
+        passed its tests, and a complete one needs nothing, as `run` cancels
+        its activation once a fact it matched is gone."""
+        if add and not _tests_ok(rule.tests[lvl], facts):
             return
         if lvl == rule.k:
-            self._pending.append((rule.index, ids, bindings))
+            if add:
+                self._pending.append((rule.index, tuple([f.id for f in facts]), facts))
             return
-        key = tuple(value_key(bindings[v]) for v in rule.patterns[lvl].jvars)
-        self._store(rule.left[lvl], key, ids, bindings)
-        facts = rule.right[lvl + 1].get(key)
-        if facts:
-            for fids, contrib in facts.items():
-                self._extend(rule, lvl + 1, ids + fids, {**bindings, **contrib})
-
-    def _store(self, mem: dict, key: tuple, ids: tuple, bindings: dict) -> None:
-        """Put a match in a join memory, with a handle on each of its facts."""
-        mem.setdefault(key, {})[ids] = bindings
-        handle = (mem, key, ids)
-        handles = self._handles
-        for fid in ids:
-            lst = handles.setdefault(fid, [])
-            lst.append(handle)
-            # a long-lived fact keeps handles on entries its partners' teardowns
-            # took (or re-made, on a modify): at each power-of-two length from
-            # 32, drop those if at least half, so the list stays O(live entries)
-            n = len(lst)
-            if n >= 32 and not n & (n - 1):
-                live = {(id(m), k, i): (m, k, i) for m, k, i in lst if i in m.get(k, ())}
-                if 2 * len(live) <= n:
-                    handles[fid] = list(live.values())
+        key = rule.patterns[lvl].lkey(facts)
+        if add:
+            rule.left[lvl].setdefault(key, {})[facts] = None
+        elif not _drop(rule.left[lvl], key, facts):
+            return
+        right = rule.right[lvl + 1].get(key)
+        if right:
+            for one in right:
+                self._extend(rule, lvl + 1, facts + one, add)
 
     def _flush_pending(self) -> None:
         pending = self._pending
@@ -959,12 +951,20 @@ class Engine:
             return
         self._pending = []
         pending.sort(key=lambda p: (p[0], p[1]))
-        wm = self._wm
-        for ri, ids, bindings in pending:
+        for ri, ids, facts in pending:
             self._act_seq += 1
-            rec = max(ids) if ids else 0
-            facts = tuple(map(wm.__getitem__, ids))
-            heappush(self._agenda, (-self._rules[ri].salience, -rec, -self._act_seq, ri, ids, facts, bindings))
+            heappush(self._agenda, (-self._rules[ri].salience, -max(ids, default=0), -self._act_seq, ri, ids, facts))
+
+
+def _drop(mem: dict, key, entry: tuple) -> bool:
+    """Take `entry` out of a join memory; False if it was not there."""
+    bucket = mem.get(key)
+    if bucket is None or entry not in bucket:
+        return False
+    del bucket[entry]
+    if not bucket:
+        del mem[key]
+    return True
 
 
 def _fold(why: Why, pos: int) -> Why:

@@ -79,7 +79,9 @@ def load_registry(source: str | Path | dict) -> Registry:
         is_text = isinstance(source, str) and source.lstrip()[:1] in ("{", "[")
         try:
             obj = json.loads(source if is_text else Path(source).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, NUL in a path
+        # ValueError: bad JSON, bad UTF-8, NUL in a path; RecursionError: JSON
+        # nested deeper than the decoder goes
+        except (OSError, ValueError, RecursionError) as exc:
             raise MalformedRegistry(f"unreadable registry: {exc}") from None
     else:
         obj = source
@@ -271,7 +273,8 @@ def replay(
         stats.records += 1
         try:
             rec = parse_record(json.loads(raw), lineno)
-        except (json.JSONDecodeError, MalformedRecord):
+        # RecursionError: a line nested deeper than the decoder goes
+        except (json.JSONDecodeError, RecursionError, MalformedRecord):
             stats.malformed += 1
             continue
         if last_t is not None and rec.t < last_t:

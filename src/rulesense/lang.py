@@ -177,10 +177,15 @@ def tokenize(text: str) -> list[Token]:
             toks.append(Token(ARROW, word, tline, tcol))
         elif word == "<-":
             toks.append(Token(ADDR, word, tline, tcol))
-        elif (num := parse_number(word)) is not None:
-            toks.append(Token(INT if type(num) is int else FLOAT, num, tline, tcol))
         else:
-            toks.append(Token(SYM, word, tline, tcol))
+            try:
+                num = parse_number(word)
+            except ValueError:  # more digits than Python's int conversion takes
+                raise LexError(tline, tcol, f"integer literal too long ({len(word)} characters)") from None
+            if num is None:
+                toks.append(Token(SYM, word, tline, tcol))
+            else:
+                toks.append(Token(INT if type(num) is int else FLOAT, num, tline, tcol))
     toks.append(Token(EOF, None, line, col))
     return toks
 
@@ -293,10 +298,17 @@ Construct = TemplateDef | RuleDef | QueryDef | TopLevelAssert
 # ============================================================
 
 
+# Operator calls may nest this deep. The parser, the validator and the
+# engine's compiled closures all recurse once or twice per level, so this
+# keeps a KB that parses well inside Python's default recursion limit of 1,000.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.i = 0
+        self.depth = 0  # operator calls open around the current token
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -535,14 +547,18 @@ class _Parser:
         raise self.fail("an expression", t)
 
     def funcall(self) -> FuncCall:
-        self.expect(LP, "(")
+        lp = self.expect(LP, "(")
+        if self.depth == MAX_NESTING:
+            raise self.fail(f"at most {MAX_NESTING} nested operator calls", lp)
         op = self.peek()
         if op.kind != SYM or op.value not in OPS:
             raise self.fail("an operator (" + " ".join(OPS) + ")", op)
         self.next()
         args: list[Expr] = []
+        self.depth += 1
         while self.peek().kind != RP:
             args.append(self.expr())
+        self.depth -= 1
         self.next()  # )
         return FuncCall(op.value, tuple(args))
 

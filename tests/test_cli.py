@@ -40,6 +40,13 @@ def test_parse_syntax_error_goes_to_stderr(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_parse_reports_a_long_integer_with_its_position(tmp_path, capsys):
+    kb = tmp_path / "long.clp"
+    kb.write_text("(deftemplate A (slot n))\n(assert (A (n " + "9" * 5000 + ")))\n", encoding="utf-8")
+    assert run_cli("parse", "--kb", str(kb)) == 1
+    assert capsys.readouterr().err.startswith("error: 2:15: integer literal too long")
+
+
 def test_parse_missing_file(tmp_path, capsys):
     assert run_cli("parse", "--kb", str(tmp_path / "nope.clp")) == 1
     assert "error:" in capsys.readouterr().err

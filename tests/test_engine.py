@@ -379,8 +379,8 @@ def test_repeated_variable_inside_one_pattern():
 
 @pytest.mark.parametrize("churn", ["retract", "modify"])
 def test_partner_churn_keeps_join_memory_flat(churn):
-    """A long-lived fact's handles on the partial matches it made with a
-    partner that keeps going (retract) or changing (modify) are compacted."""
+    """The partial matches a long-lived fact makes with a partner that keeps
+    going (retract) or changing (modify) leave the join memory with it."""
     e = Engine(
         parse_program(
             """

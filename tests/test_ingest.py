@@ -116,6 +116,11 @@ def test_registry_file_that_is_not_utf8(tmp_path):
         load_registry(p)
 
 
+def test_registry_nested_too_deep():
+    with pytest.raises(MalformedRegistry):
+        load_registry('{"a":' * 1000 + "1" + "}" * 1000)
+
+
 def test_registry_garbage_sources():
     with pytest.raises(MalformedRegistry):
         load_registry("this is not json and not a path")
@@ -310,3 +315,52 @@ def test_replay_accounting_always_balances(lines):
     assert stats.records == len(lines)
     assert e.facts("MobileTrace") == []
     assert len(e.facts("is-currently-at")) == len(reg.persons)
+
+
+def test_replay_counts_a_line_nested_too_deep():
+    reg = load_registry(GOOD)
+    e = fresh_engine(reg)
+    deep = '{"a":' * 1000 + "1" + "}" * 1000
+    stats = replay([deep, record_line(1_700_000_000_000, "730")], reg, e)
+    assert stats.malformed == 1
+    assert stats.facts == 1
+    assert stats.consistent()
+    (cur,) = [f for f in e.facts("is-currently-at") if f.value("name") == "Pete"]
+    assert cur.value("location") == Symbol("730")
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["t", "sensor", "payload", "x"]), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def any_lines(draw):
+    t = 1_700_000_000_000
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("record", "record", "json", "text", "deep")))
+        if kind == "record":
+            t += draw(st.integers(-1500, 3000))
+            code = draw(st.sampled_from(["730", "740", "000"]))
+            lines.append(record_line(t, code, tag=draw(st.sampled_from(["A1B2", "C3D4", "XXXX"]))))
+        elif kind == "json":
+            lines.append(json.dumps(draw(_JSON)))
+        elif kind == "text":
+            lines.append(draw(st.text(max_size=30)))
+        else:
+            opener, closer = draw(st.sampled_from((("[", "]"), ('{"a":', "}"))))
+            depth = draw(st.integers(1, 3000))
+            lines.append(opener * depth + "1" + closer * draw(st.integers(0, depth)))
+    return lines
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_lines())
+def test_replay_of_any_lines_stays_consistent(lines):
+    reg = load_registry(GOOD)
+    stats = replay(lines, reg, fresh_engine(reg))
+    assert stats.consistent()

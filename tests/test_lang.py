@@ -2,9 +2,11 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kbgen import programs
-from rulesense.facts import Symbol, TemplateRegistry
+from rulesense.engine import Engine
+from rulesense.facts import KbError, Symbol, TemplateRegistry
 from rulesense.lang import (
     ADDR,
     ARROW,
@@ -12,6 +14,7 @@ from rulesense.lang import (
     FLOAT,
     INT,
     LP,
+    MAX_NESTING,
     PUNCT,
     RP,
     STR,
@@ -104,6 +107,13 @@ def test_connective_characters_lex_separately():
 def test_dotted_word_is_a_symbol():
     t = tokenize("3.5.7")[0]
     assert (t.kind, t.value) == (SYM, "3.5.7")
+
+
+def test_integer_literal_too_long_is_a_lex_error():
+    with pytest.raises(LexError) as ei:
+        tokenize("(assert (A (n " + "9" * 5000 + ")))")
+    assert (ei.value.line, ei.value.column) == (1, 15)
+    assert "too long" in ei.value.message
 
 
 # ------------------------------------------------------------
@@ -209,6 +219,51 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as ei:
         parse_program("(defrule r\n  (T (s 1|2)) => )")
     assert (ei.value.line, ei.value.column) == (2, 10)
+
+
+def _nested_rule(depth):
+    """A rule whose test nests `depth` operator calls; it asserts the value of
+    the `depth - 1` inner ones."""
+    e = "?n"
+    for _ in range(depth - 1):
+        e = f"(+ {e} 1)"
+    return f"""
+        (deftemplate A (slot n))
+        (deftemplate B (slot n))
+        (defrule deep (A (n ?n)) (test (< {e} 1000000)) => (assert (B (n {e}))))
+        """
+
+
+def test_nesting_deeper_than_the_limit_is_a_parse_error():
+    text = "(deftemplate A (slot n))\n(defrule r (A (n ?n)) (test " + "(< " * 3000 + "1 2" + ")" * 3000 + ") => )"
+    with pytest.raises(ParseError) as ei:
+        parse_program(text)
+    assert (ei.value.line, ei.value.column) == (2, 29 + 3 * MAX_NESTING)
+    with pytest.raises(ParseError):
+        parse_program(_nested_rule(MAX_NESTING + 1))
+
+
+def test_rule_nested_at_the_limit_loads_and_fires():
+    e = Engine(parse_program(_nested_rule(MAX_NESTING)), firelog=[])
+    e.assert_fact("A", {"n": 1})
+    assert e.run() == 1
+    assert [f.value("n") for f in e.facts("B")] == [MAX_NESTING]
+
+
+_KB_WORDS = (
+    "(", ")", "(", ")", "deftemplate", "defrule", "defquery", "assert", "retract", "modify", "bind",
+    "slot", "test", "declare", "salience", "variables", "=>", "<-", "?x", "?", "+", "<", "eq", "T",
+    "s", "1", "-2", "1.5", "1e400", '"a"', "'b", "&", ";", "\n", "9" * 5000,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=60), st.lists(st.sampled_from(_KB_WORDS), max_size=40).map(" ".join)))
+def test_any_text_fails_only_with_kb_errors(text):
+    try:
+        parse_program(text)
+    except KbError:
+        pass
 
 
 # ------------------------------------------------------------

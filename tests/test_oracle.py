@@ -5,7 +5,8 @@ random valid programs: 0-3 patterns per rule with shared and repeated
 variables, leading constant tests, 2- and 3-operand tests over nested
 arithmetic and eq/neq, RHS assert/retract/modify/bind (expressions that fail
 included), saliences, and a query with a test. The fire sequence, the final
-WM and the query rows must agree.
+WM and the query rows must agree, and retracting every fact must leave the
+engine's join memories empty.
 """
 
 from functools import cache
@@ -218,3 +219,9 @@ def test_random_programs_match_the_naive_oracle(program, ops):
         got = _canon_rows((r.fact_ids, r.bindings) for r in eng.run_query("q", {"p": v}))
         want = _canon_rows(ora.run_query("q", {"p": v}))
         assert got == want, v
+    # a fact leaves the join memories by the joins it entered them by, so
+    # with every fact retracted no rule holds a match or a fact
+    for f in eng.facts():
+        eng.retract_fact(f.id)
+    for rule in eng._rules:
+        assert not any(rule.left) and not any(rule.right), rule.name
