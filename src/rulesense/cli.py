@@ -86,16 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_parse(args) -> int:
-    try:
-        text = Path(args.kb).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        constructs = lang.parse_program(text)
-    except (lang.LexError, lang.ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    constructs = lang.parse_program(Path(args.kb).read_text(encoding="utf-8"))
     diags = lang.validate_program(constructs)
     for d in diags:
         print(d)

@@ -4,12 +4,20 @@ A strict CLIPS-style subset: deftemplate with simple slots, defrule with an
 optional salience declaration, defquery with declared parameters, and
 top-level assert. Slot constraints are a literal or a single variable;
 connective constraints and not/exists/or condition elements are out of scope.
+
+The lexer is one regular expression with a named alternative per token kind.
+The parser, the printer and the validator each read a `(slot value)` list in
+one place, whether it belongs to a pattern, an asserted fact or a modify.
+`validate_program` reports every problem it finds, in source order, so the
+same text always gives the same diagnostics in the same order.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .facts import KbError, Symbol, SlotValue, TemplateRegistry
 
@@ -89,104 +97,62 @@ def parse_number(word: str) -> int | float | None:
 # replacements are all single characters so token positions stay true.
 _QUOTE_NORMALIZATION = str.maketrans({"\u201c": '"', "\u201d": '"', "\u2018": "'", "\u2019": "'"})
 
-_SYMBOL_BREAKERS = set(' \t\r\n()"\';&|~?')
+# One alternative per token kind, named after the kind it yields; a word
+# becomes a symbol, a number or an arrow. A word runs up to the next of exactly
+# these breakers, so \x0b, \x0c and \xa0 are word characters. A quote that
+# never closes is the only text no alternative matches.
+_WORD = r"""[^ \t\r\n()"';&|~?]"""
+_TOKEN_RE = re.compile(
+    rf"""(?P<skip>[ \t\r\n]+|;[^\n]*)
+    |(?P<lp>\()|(?P<rp>\))|(?P<punct>[&|~])
+    |(?P<str>"[^"\\]*(?:\\.[^"\\]*)*"|'[^'\\]*(?:\\.[^'\\]*)*')
+    |\?(?P<var>{_WORD}*)
+    |(?P<word>{_WORD}+)""",
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
 def tokenize(text: str) -> list[Token]:
     """Lex `text` into tokens. Raises LexError with line/column on bad input."""
     src = text.translate(_QUOTE_NORMALIZATION)
     toks: list[Token] = []
-    i = 0
-    n = len(src)
-    line = 1
-    col = 1
-
-    def step(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and src[i] == "\n":
-                line += 1
-                col = 1
+    line, line_start = 1, 0  # the line at `pos`, and the offset where it starts
+    pos, n = 0, len(src)
+    while pos < n:
+        m = _TOKEN_RE.match(src, pos)
+        col = pos - line_start + 1
+        if m is None:
+            raise LexError(line, col, "unterminated string")
+        start, pos, kind = pos, m.end(), m.lastgroup
+        value = m[kind]
+        if kind == "word":
+            if value == "=>":
+                kind = ARROW
+            elif value == "<-":
+                kind = ADDR
             else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            step()
-            continue
-        if c == ";":
-            while i < n and src[i] != "\n":
-                step()
-            continue
-        tline, tcol = line, col
-        if c == "(":
-            toks.append(Token(LP, "(", tline, tcol))
-            step()
-            continue
-        if c == ")":
-            toks.append(Token(RP, ")", tline, tcol))
-            step()
-            continue
-        if c in "&|~":
-            toks.append(Token(PUNCT, c, tline, tcol))
-            step()
-            continue
-        if c in "\"'":
-            quote = c
-            step()
-            buf: list[str] = []
-            while True:
-                if i >= n:
-                    raise LexError(tline, tcol, "unterminated string")
-                ch = src[i]
-                if ch == quote:
-                    step()
-                    break
-                if ch == "\\":
-                    step()
-                    if i >= n:
-                        raise LexError(tline, tcol, "unterminated string")
-                    esc = src[i]
-                    buf.append({"n": "\n", "t": "\t"}.get(esc, esc))
-                    step()
-                    continue
-                buf.append(ch)
-                step()
-            toks.append(Token(STR, "".join(buf), tline, tcol))
-            continue
-        if c == "?":
-            step()
-            start = i
-            while i < n and src[i] not in _SYMBOL_BREAKERS:
-                step()
-            name = src[start:i]
-            if not name:
-                raise LexError(tline, tcol, "expected a variable name after ?")
-            toks.append(Token(VAR, name, tline, tcol))
-            continue
-        # bare word: symbol, number, or one of the two arrows
-        start = i
-        while i < n and src[i] not in _SYMBOL_BREAKERS:
-            step()
-        word = src[start:i]
-        if not word:
-            raise LexError(tline, tcol, f"unexpected character {c!r}")
-        if word == "=>":
-            toks.append(Token(ARROW, word, tline, tcol))
-        elif word == "<-":
-            toks.append(Token(ADDR, word, tline, tcol))
-        else:
-            try:
-                num = parse_number(word)
-            except ValueError:  # more digits than Python's int conversion takes
-                raise LexError(tline, tcol, f"integer literal too long ({len(word)} characters)") from None
-            if num is None:
-                toks.append(Token(SYM, word, tline, tcol))
-            else:
-                toks.append(Token(INT if type(num) is int else FLOAT, num, tline, tcol))
-    toks.append(Token(EOF, None, line, col))
+                try:
+                    num = parse_number(value)
+                except ValueError:  # more digits than Python's int conversion takes
+                    raise LexError(line, col, f"integer literal too long ({len(value)} characters)") from None
+                if num is None:
+                    kind = SYM
+                else:
+                    kind, value = INT if type(num) is int else FLOAT, num
+        elif kind == VAR and not value:
+            raise LexError(line, col, "expected a variable name after ?")
+        elif kind == STR:
+            value = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]), value[1:-1])
+        if kind != "skip":
+            toks.append(Token(kind, value, line, col))
+        if kind == "skip" or kind == STR:  # the only matches that can span lines
+            last = src.rfind("\n", start, pos)
+            if last >= 0:
+                line += src.count("\n", start, pos)
+                line_start = last + 1
+    toks.append(Token(EOF, None, line, n - line_start + 1))
     return toks
 
 
@@ -453,29 +419,29 @@ class _Parser:
     def pattern(self) -> Pattern:
         self.expect(LP, "(")
         tmpl = self.expect(SYM, "template name")
-        slots: list[tuple[str, Literal | Var]] = []
+        slots = self.slots(self.constraint)
+        self.expect(RP, ")")
+        return Pattern(tmpl.value, slots)
+
+    def constraint(self) -> Literal | Var:
+        c = self.term("a literal or a single variable")
+        nxt = self.peek()
+        if nxt.kind == PUNCT:
+            raise self.fail("') — connective constraints are not supported", nxt)
+        if nxt.kind != RP:
+            raise self.fail("') — slot takes a single literal or variable", nxt)
+        return c
+
+    def slots(self, value: Callable[[], Expr]) -> tuple:
+        """`(slot value)` pairs up to the first token that is not `(`; `value`
+        reads each value."""
+        out: list[tuple[str, Expr]] = []
         while self.peek().kind == LP:
             self.next()
             slot = self.expect(SYM, "slot name")
-            c = self.peek()
-            constraint: Literal | Var
-            if c.kind == VAR:
-                constraint = Var(self.next().value)
-            elif c.kind in (INT, FLOAT, STR):
-                constraint = Literal(self.next().value)
-            elif c.kind == SYM:
-                constraint = Literal(Symbol(self.next().value))
-            else:
-                raise self.fail("a literal or a single variable", c)
-            nxt = self.peek()
-            if nxt.kind == PUNCT:
-                raise self.fail("') — connective constraints are not supported", nxt)
-            if nxt.kind != RP:
-                raise self.fail("') — slot takes a single literal or variable", nxt)
-            self.next()
-            slots.append((slot.value, constraint))
-        self.expect(RP, ")")
-        return Pattern(tmpl.value, tuple(slots))
+            out.append((slot.value, value()))
+            self.expect(RP, ")")
+        return tuple(out)
 
     # ---- actions
 
@@ -496,17 +462,11 @@ class _Parser:
             return RetractAction(tuple(variables))
         if head.value == "modify":
             var = self.expect(VAR, "?fact-address").value
-            updates: list[tuple[str, Expr]] = []
-            while self.peek().kind == LP:
-                self.next()
-                slot = self.expect(SYM, "slot name")
-                e = self.expr()
-                self.expect(RP, ")")
-                updates.append((slot.value, e))
+            updates = self.slots(self.expr)
             if not updates:
                 raise self.fail("at least one (slot expr)")
             self.expect(RP, ")")
-            return ModifyAction(var, tuple(updates))
+            return ModifyAction(var, updates)
         if head.value == "bind":
             var = self.expect(VAR, "?variable").value
             e = self.expr()
@@ -519,15 +479,9 @@ class _Parser:
         while self.peek().kind == LP:
             self.next()
             tmpl = self.expect(SYM, "template name")
-            slots: list[tuple[str, Expr]] = []
-            while self.peek().kind == LP:
-                self.next()
-                slot = self.expect(SYM, "slot name")
-                e = self.expr()
-                self.expect(RP, ")")
-                slots.append((slot.value, e))
+            slots = self.slots(self.expr)
             self.expect(RP, ")")
-            specs.append(AssertSpec(tmpl.value, tuple(slots)))
+            specs.append(AssertSpec(tmpl.value, slots))
         if not specs:
             raise self.fail("at least one (Template ...) to assert")
         return specs
@@ -535,16 +489,19 @@ class _Parser:
     # ---- expressions
 
     def expr(self) -> Expr:
+        if self.peek().kind == LP:
+            return self.funcall()
+        return self.term("an expression")
+
+    def term(self, expected: str) -> Literal | Var:
+        """A variable or a literal; a bare word is a symbol."""
         t = self.peek()
         if t.kind == VAR:
             return Var(self.next().value)
-        if t.kind in (INT, FLOAT, STR):
-            return Literal(self.next().value)
-        if t.kind == SYM:
-            return Literal(Symbol(self.next().value))
-        if t.kind == LP:
-            return self.funcall()
-        raise self.fail("an expression", t)
+        if t.kind in (INT, FLOAT, STR, SYM):
+            self.next()
+            return Literal(Symbol(t.value) if t.kind == SYM else t.value)
+        raise self.fail(expected, t)
 
     def funcall(self) -> FuncCall:
         lp = self.expect(LP, "(")
@@ -591,33 +548,25 @@ def _fmt_expr(e: Expr) -> str:
     return "(" + " ".join([e.op] + [_fmt_expr(a) for a in e.args]) + ")"
 
 
-def _fmt_pattern(p: Pattern) -> str:
-    parts = [p.template] + [f"({s} {_fmt_expr(c)})" for s, c in p.slots]
-    body = "(" + " ".join(parts) + ")"
-    if p.address is not None:
-        return f"?{p.address} <- {body}"
-    return body
+def _fmt_form(head: str, slots: tuple) -> str:
+    """`(head (slot value)...)`: a pattern, an asserted fact or a modify."""
+    return "(" + " ".join([head] + [f"({s} {_fmt_expr(e)})" for s, e in slots]) + ")"
 
 
 def _fmt_ce(ce: ConditionElement) -> str:
     if isinstance(ce, Test):
         return f"(test {_fmt_expr(ce.expr)})"
-    return _fmt_pattern(ce)
-
-
-def _fmt_assert_spec(s: AssertSpec) -> str:
-    parts = [s.template] + [f"({slot} {_fmt_expr(e)})" for slot, e in s.slots]
-    return "(" + " ".join(parts) + ")"
+    body = _fmt_form(ce.template, ce.slots)
+    return body if ce.address is None else f"?{ce.address} <- {body}"
 
 
 def _fmt_action(a: Action) -> str:
     if isinstance(a, AssertAction):
-        return "(assert " + " ".join(_fmt_assert_spec(s) for s in a.facts) + ")"
+        return "(assert " + " ".join(_fmt_form(s.template, s.slots) for s in a.facts) + ")"
     if isinstance(a, RetractAction):
         return "(retract " + " ".join(f"?{v}" for v in a.variables) + ")"
     if isinstance(a, ModifyAction):
-        ups = " ".join(f"({s} {_fmt_expr(e)})" for s, e in a.updates)
-        return f"(modify ?{a.variable} {ups})"
+        return _fmt_form(f"modify ?{a.variable}", a.updates)
     return f"(bind ?{a.variable} {_fmt_expr(a.expr)})"
 
 
@@ -640,7 +589,7 @@ def format_construct(c: Construct) -> str:
         lines += [f"  {_fmt_ce(ce)}" for ce in c.lhs]
         return "\n".join(lines) + ")"
     if isinstance(c, TopLevelAssert):
-        return "(assert " + " ".join(_fmt_assert_spec(s) for s in c.facts) + ")"
+        return _fmt_action(AssertAction(c.facts))
     raise TypeError(f"not a construct: {c!r}")
 
 
@@ -655,7 +604,7 @@ def format_program(constructs: list[Construct]) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
-    kind: str  # unknown-template | unknown-slot | unbound-variable | not-fact-address | address-in-expression | duplicate-rule | duplicate-template | unbound-parameter | top-level-variable | operator-arity
+    kind: str  # unknown-template | unknown-slot | duplicate-slot | unbound-variable | not-fact-address | address-in-expression | duplicate-rule | duplicate-template | unbound-parameter | top-level-variable | operator-arity
     target: str  # rule/query/construct name
     message: str
 
@@ -663,40 +612,48 @@ class Diagnostic:
         return f"{self.target}: {self.kind}: {self.message}"
 
 
-def _expr_vars(e: Expr) -> set[str]:
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, FuncCall):
-        out: set[str] = set()
-        for a in e.args:
-            out |= _expr_vars(a)
-        return out
-    return set()
-
-
-def _check_arity(name: str, e: Expr, diags: list[Diagnostic]) -> None:
-    """Every operator takes at least two operands; nested calls included."""
+def _check_arity(name: str, e: Expr, diags: list[Diagnostic]) -> list[str]:
+    """Every operator takes at least two operands; nested calls included.
+    Returns the variables `e` reads, in order of first occurrence."""
+    seen: dict[str, None] = {}
     stack = [e]
     while stack:
         e = stack.pop()
-        if isinstance(e, FuncCall):
+        if isinstance(e, Var):
+            seen[e.name] = None
+        elif isinstance(e, FuncCall):
             if len(e.args) < 2:
                 diags.append(Diagnostic("operator-arity", name, f"{_fmt_expr(e)} needs at least 2 operands"))
-            stack.extend(e.args)
+            stack.extend(reversed(e.args))
+    return list(seen)
 
 
-def _check_pattern_slots(
-    name: str, template: str, slot_names: list[str], registry: TemplateRegistry, diags: list[Diagnostic]
-) -> bool:
-    """Template + slot existence for one pattern-ish thing. True if template known."""
+def _check_expr(
+    name: str, e: Expr, where: str, bound: set[str], addresses: dict[str, str], diags: list[Diagnostic]
+) -> None:
+    """Arity, and every variable `e` reads: not a fact address, and bound
+    already. `where` names the test or action that holds `e`."""
+    unbound = "by an earlier pattern" if where == "a test" else f"({where})"
+    for v in _check_arity(name, e, diags):
+        if v in addresses:
+            diags.append(Diagnostic("address-in-expression", name, f"fact address ?{v} used in {where}"))
+        elif v not in bound:
+            diags.append(Diagnostic("unbound-variable", name, f"?{v} is not bound {unbound}"))
+
+
+def _check_slots(name: str, template: str, slots: tuple, registry: TemplateRegistry, diags: list[Diagnostic]) -> None:
+    """Template and slot existence, and no slot given twice, for one pattern,
+    asserted fact or modify."""
     if template not in registry:
         diags.append(Diagnostic("unknown-template", name, f"unknown template {template}"))
-        return False
-    t = registry.get(template)
-    for s in slot_names:
-        if not t.has_slot(s):
-            diags.append(Diagnostic("unknown-slot", name, f"template {template} has no slot {s}"))
-    return True
+    else:
+        t = registry.get(template)
+        for s, _ in slots:
+            if not t.has_slot(s):
+                diags.append(Diagnostic("unknown-slot", name, f"template {template} has no slot {s}"))
+    for s, k in Counter(s for s, _ in slots).items():
+        if k > 1:
+            diags.append(Diagnostic("duplicate-slot", name, f"slot {s} is given {k} times in one {template}"))
 
 
 def _validate_lhs(
@@ -705,14 +662,14 @@ def _validate_lhs(
     """Walk condition elements left to right.
 
     Returns (bound slot variables, address variable -> template). Diagnostics
-    for unknown templates/slots, tests on unbound variables, and address
+    for unknown or repeated templates/slots, tests on unbound variables, and address
     variables leaking into expressions.
     """
     bound: set[str] = set(pre_bound)
     addresses: dict[str, str] = {}
     for ce in lhs:
         if isinstance(ce, Pattern):
-            _check_pattern_slots(name, ce.template, [s for s, _ in ce.slots], registry, diags)
+            _check_slots(name, ce.template, ce.slots, registry, diags)
             if ce.address is not None:
                 if ce.address in bound or ce.address in addresses:
                     diags.append(
@@ -735,14 +692,7 @@ def _validate_lhs(
                         )
                     bound.add(c.name)
         else:  # Test
-            _check_arity(name, ce.expr, diags)
-            for v in _expr_vars(ce.expr):
-                if v in addresses:
-                    diags.append(
-                        Diagnostic("address-in-expression", name, f"fact address ?{v} used in a test")
-                    )
-                elif v not in bound:
-                    diags.append(Diagnostic("unbound-variable", name, f"?{v} is not bound by an earlier pattern"))
+            _check_expr(name, ce.expr, "a test", bound, addresses, diags)
     return bound, addresses
 
 
@@ -750,41 +700,26 @@ def validate_rule(rule: RuleDef, registry: TemplateRegistry) -> list[Diagnostic]
     """Template/slot existence, binding discipline, address-variable usage."""
     diags: list[Diagnostic] = []
     bound, addresses = _validate_lhs(rule.name, rule.lhs, registry, diags)
-
-    def check_expr(e: Expr, where: str) -> None:
-        _check_arity(rule.name, e, diags)
-        for v in _expr_vars(e):
-            if v in addresses:
-                diags.append(Diagnostic("address-in-expression", rule.name, f"fact address ?{v} used in {where}"))
-            elif v not in bound:
-                diags.append(Diagnostic("unbound-variable", rule.name, f"?{v} is not bound ({where})"))
-
     for a in rule.rhs:
         if isinstance(a, AssertAction):
             for spec in a.facts:
-                _check_pattern_slots(rule.name, spec.template, [s for s, _ in spec.slots], registry, diags)
+                _check_slots(rule.name, spec.template, spec.slots, registry, diags)
                 for _, e in spec.slots:
-                    check_expr(e, "assert")
+                    _check_expr(rule.name, e, "assert", bound, addresses, diags)
         elif isinstance(a, RetractAction):
             for v in a.variables:
                 if v not in addresses:
                     diags.append(Diagnostic("not-fact-address", rule.name, f"retract of non-address ?{v}"))
         elif isinstance(a, ModifyAction):
-            if a.variable not in addresses:
+            tname = addresses.get(a.variable)
+            if tname is None:
                 diags.append(Diagnostic("not-fact-address", rule.name, f"modify of non-address ?{a.variable}"))
-            else:
-                tname = addresses[a.variable]
-                if tname in registry:
-                    t = registry.get(tname)
-                    for s, _ in a.updates:
-                        if not t.has_slot(s):
-                            diags.append(
-                                Diagnostic("unknown-slot", rule.name, f"template {tname} has no slot {s}")
-                            )
+            elif tname in registry:  # an unknown template is reported at its pattern
+                _check_slots(rule.name, tname, a.updates, registry, diags)
             for _, e in a.updates:
-                check_expr(e, "modify")
+                _check_expr(rule.name, e, "modify", bound, addresses, diags)
         elif isinstance(a, BindAction):
-            check_expr(a.expr, "bind")
+            _check_expr(rule.name, a.expr, "bind", bound, addresses, diags)
             if a.variable in addresses:
                 diags.append(
                     Diagnostic("address-in-expression", rule.name, f"bind re-targets fact address ?{a.variable}")
@@ -834,10 +769,9 @@ def validate_program(constructs: list[Construct]) -> list[Diagnostic]:
             diags.extend(validate_query(c, registry))
         elif isinstance(c, TopLevelAssert):
             for spec in c.facts:
-                _check_pattern_slots("(assert)", spec.template, [s for s, _ in spec.slots], registry, diags)
+                _check_slots("(assert)", spec.template, spec.slots, registry, diags)
                 for _, e in spec.slots:
-                    _check_arity("(assert)", e, diags)
-                    for v in _expr_vars(e):
+                    for v in _check_arity("(assert)", e, diags):
                         diags.append(
                             Diagnostic("top-level-variable", "(assert)", f"?{v} cannot appear outside a rule")
                         )

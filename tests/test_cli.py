@@ -1,6 +1,10 @@
 """End-to-end coverage of the rulesense command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +54,29 @@ def test_parse_reports_a_long_integer_with_its_position(tmp_path, capsys):
 def test_parse_missing_file(tmp_path, capsys):
     assert run_cli("parse", "--kb", str(tmp_path / "nope.clp")) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_parse_prints_diagnostics_in_source_order_under_any_hash_seed(tmp_path):
+    kb = tmp_path / "unbound.clp"
+    kb.write_text("(deftemplate T (slot a))\n(defrule r (T) (test (< ?aa ?bb ?cc ?dd)) => )\n", encoding="utf-8")
+    # the hash seed is fixed when an interpreter starts, so each seed needs its own child
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    outputs = set()
+    for seed in range(5):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rulesense.cli", "parse", "--kb", str(kb)],
+            env={**env, "PYTHONHASHSEED": str(seed)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        outputs.add(proc.stdout)
+    assert outputs == {
+        "".join(f"r: unbound-variable: ?{v} is not bound by an earlier pattern\n" for v in ("aa", "bb", "cc", "dd"))
+    }
 
 
 # --- usage errors --------------------------------------------------------

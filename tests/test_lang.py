@@ -1,11 +1,13 @@
 """Tokenizer, parser, pretty-printer, and validator tests."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbgen import programs
-from rulesense.engine import Engine
+from rulesense.engine import Engine, ValidationFailed
 from rulesense.facts import KbError, Symbol, TemplateRegistry
 from rulesense.lang import (
     ADDR,
@@ -38,6 +40,7 @@ from rulesense.lang import (
     Var,
     format_construct,
     format_program,
+    parse_number,
     parse_program,
     tokenize,
     validate_program,
@@ -67,6 +70,60 @@ def test_number_forms():
 def test_token_positions():
     toks = tokenize("(foo\n  ?bar)")
     assert [(t.line, t.col) for t in toks] == [(1, 1), (1, 2), (2, 3), (2, 7), (2, 8)]
+
+
+@pytest.mark.parametrize(
+    "text,positions",
+    [
+        ('(a "x\ny" b)', [(1, 1), (1, 2), (1, 4), (2, 4), (2, 5), (2, 6)]),  # raw newline in a string
+        ("a\r\nb\r\n", [(1, 1), (2, 1), (3, 1)]),  # CRLF: the \r is one more column
+        ("\tx\t?y", [(1, 2), (1, 4), (1, 6)]),  # a tab is one column
+        ("a ; the end", [(1, 1), (1, 12)]),  # a comment at end of input
+    ],
+)
+def test_token_positions_across_line_ends_tabs_and_comments(text, positions):
+    assert [(t.line, t.col) for t in tokenize(text)] == positions
+
+
+_STRAIGHT_QUOTES = str.maketrans("\u201c\u201d\u2018\u2019", "\"\"''")
+_WORD_AT = re.compile(r"""[^ \t\r\n()"';&|~?]+""")
+_LEX_PIECES = (
+    "(", ")", " ", "\t", "\n", "\r\n", "; note\n", ";", '"a\nb"', "'it\\'s'", '"\\\\"', "?x", "?", "=>", "<-",
+    "sym", "-2", "1.5e3", ".5", "&", "~", "\u201cq\u201d", "\x0b", "\xa0",
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(alphabet=st.sampled_from(' \t\r\n()"\';&|~?\\ab1.-=>\u201c\u201d\u2018\u2019\x0b\xa0'), max_size=60),
+        st.lists(st.sampled_from(_LEX_PIECES), max_size=30).map("".join),
+    )
+)
+def test_each_token_position_points_at_its_first_character(text):
+    try:
+        toks = tokenize(text)
+    except LexError:
+        return
+    src = text.translate(_STRAIGHT_QUOTES)
+    line_starts = [0] + [i + 1 for i, c in enumerate(src) if c == "\n"]
+    offsets = []
+    for t in toks:
+        assert 1 <= t.line <= len(line_starts) and t.col >= 1
+        at = line_starts[t.line - 1] + t.col - 1
+        assert t.line == len(line_starts) or at < line_starts[t.line]
+        offsets.append(at)
+        if t.kind == EOF:
+            assert at == len(src)
+        elif t.kind == STR:
+            assert src[at] in "\"'"
+        elif t.kind == VAR:
+            assert src.startswith("?" + t.value, at)
+        elif t.kind in (INT, FLOAT):
+            assert parse_number(_WORD_AT.match(src, at)[0]) == t.value
+        else:
+            assert src.startswith(t.value, at)
+    assert offsets == sorted(set(offsets))
 
 
 def test_comments_run_to_end_of_line():
@@ -341,6 +398,22 @@ def test_validate_bind_introduces_binding():
 )
 def test_validate_flags(tail, kinds):
     assert diag_kinds(T2 + tail) == kinds
+
+
+@pytest.mark.parametrize(
+    "tail,where",
+    [
+        ("(defrule r (T (a 1) (a 2)) => )", "r"),
+        ("(defrule r (T) => (assert (T (a 1) (b 2) (a 3))))", "r"),
+        ("(assert (T (a 1) (a 2)))", "(assert)"),
+        ("(defrule r ?f <- (T) => (modify ?f (b 1) (b 2)))", "r"),
+    ],
+)
+def test_slot_given_twice_is_reported(tail, where):
+    diags = validate_program(parse_program(T2 + tail))
+    assert [(d.kind, d.target) for d in diags] == [("duplicate-slot", where)]
+    with pytest.raises(ValidationFailed):
+        Engine(parse_program(T2 + tail))
 
 
 def test_validate_query_param_in_pattern_is_clean():
