@@ -602,6 +602,55 @@ def test_identical_histories_serialize_identically():
     assert wm == wm_to_canonical_json(e)
 
 
+EVENTS = """
+(deftemplate Count (slot n) (slot note))
+(deftemplate Raw (slot tag) (slot v))
+(deftemplate Cooked (slot tag) (slot v))
+(deftemplate Alarm (slot v))
+(defrule cook ?c <- (Count (n ?n)) ?r <- (Raw (tag ?t) (v ?v))
+  => (retract ?r) (modify ?c (n (+ ?n 1))) (assert (Cooked (tag ?t) (v (* ?v 2.5)))))
+(defrule overflow (Cooked (tag ?t) (v ?v)) (test (> ?v 10))
+  => (assert (Alarm (v ?v))) (bind ?z (/ ?v 0)) (assert (Alarm (v ?z))))
+"""
+
+EVENTS_LOG = """\
+{"seq":0,"rule":null,"consumed":[],"produced":[1],"retracted":[],"ts":2,"facts":{"1":{"template":"Count","values":{"n":0,"note":"start"}}}}
+{"seq":1,"rule":null,"consumed":[],"produced":[2],"retracted":[],"ts":3,"facts":{"2":{"template":"Raw","values":{"tag":{"s":"a"},"v":1}}}}
+{"seq":2,"rule":"cook","consumed":[1,2],"produced":[1,3],"retracted":[2],"ts":6,"facts":{"1":{"template":"Count","values":{"n":1,"note":"start"}},"3":{"template":"Cooked","values":{"tag":{"s":"a"},"v":2.5}}}}
+{"seq":3,"rule":null,"consumed":[],"produced":[1],"retracted":[],"ts":7,"facts":{"1":{"template":"Count","values":{"n":1,"note":"reset"}}}}
+{"seq":4,"rule":null,"consumed":[],"produced":[4],"retracted":[],"ts":8,"facts":{"4":{"template":"Raw","values":{"tag":{"s":"b"},"v":6}}}}
+{"seq":5,"rule":"cook","consumed":[1,4],"produced":[1,5],"retracted":[4],"ts":11,"facts":{"1":{"template":"Count","values":{"n":2,"note":"reset"}},"5":{"template":"Cooked","values":{"tag":{"s":"b"},"v":15.0}}}}
+{"seq":6,"rule":"overflow","consumed":[5],"produced":[6],"retracted":[],"ts":12,"facts":{"6":{"template":"Alarm","values":{"v":15.0}}},"error":"RuntimeEvalError: division by zero"}
+{"seq":7,"rule":null,"consumed":[],"produced":[],"retracted":[3],"ts":13}
+{"seq":8,"rule":null,"consumed":[],"produced":[7],"retracted":[],"ts":14,"facts":{"7":{"template":"Alarm","values":{"v":1}}}}
+{"seq":9,"rule":null,"consumed":[],"produced":[],"retracted":[7],"ts":15}
+"""
+
+
+def test_external_changes_and_firings_log_byte_for_byte():
+    # external asserts, modifies and retracts share the log with firings;
+    # a duplicate assert, an empty modify and a failed modify log nothing
+    e = eng(EVENTS)
+    c = e.assert_fact("Count", {"n": 0, "note": "start"}).fact_id
+    assert e.assert_fact("Count", {"n": 0, "note": "start"}).duplicate
+    e.modify_fact(c, {})
+    e.assert_fact("Raw", {"tag": Symbol("a"), "v": 1})
+    e.run()  # cook retracts, modifies and asserts
+    e.modify_fact(c, {"note": "reset"})
+    e.assert_fact("Raw", {"tag": Symbol("b"), "v": 6})
+    e.run()  # then overflow asserts before its RHS error
+    e.retract_fact(e.facts("Cooked")[0].id)
+    a = e.assert_fact("Alarm", {"v": 1}).fact_id
+    with pytest.raises(WouldDuplicate):
+        e.modify_fact(a, {"v": 15.0})
+    with pytest.raises(UnknownSlot):
+        e.modify_fact(a, {"w": 2})
+    with pytest.raises(TypeError):
+        e.modify_fact(a, {"v": None})
+    e.retract_fact(a)
+    assert firelog_to_jsonl(e.firelog) == EVENTS_LOG
+
+
 # ------------------------------------------------------------
 # queries
 # ------------------------------------------------------------
