@@ -16,22 +16,17 @@ from pathlib import Path
 from . import lang
 from .engine import FireLogWriter
 from .facts import KbError
-from .ingest import load_registry, replay
+from .ingest import check_speed, load_registry, replay
 from .service import QueryService, ServiceConfig, coerce_arg
 from .simulator import generate, load_scenario
 from .tracking import shaped_query, start_pipeline
 
 
 def _speed(s: str):
-    if s == "max":
-        return "max"
     try:
-        v = float(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"speed must be a positive number or 'max', got {s!r}")
-    if v <= 0:
-        raise argparse.ArgumentTypeError("speed must be positive")
-    return v
+        return check_speed(s)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _hostport(s: str) -> tuple[str, int]:

@@ -13,14 +13,16 @@ patterns 1..`lvl`, each under a join key read from `Fact.key`. A fact leaves
 the memories as it entered them (as in Forgy's Rete): a retract or modify
 walks the old version through the same joins, so no index of entries is kept.
 
-Provenance lives on the facts, not in the log: each fact version's `why`
-names the rule, the fire-log seq and the consumed versions that made it, and
-a rule's modify of a fact it consumed folds the chain behind it. What no live
-fact reaches is freed, so the engine's memory follows its working memory,
-not the length of the feed, and a snapshot explains its own facts. The fire
-log is a sink the caller chooses: a list keeps every entry, a
+Every event, a firing or one external assert, modify or retract, takes the
+next fire-log seq and makes one `FireLogEntry` from the fact versions it
+produced. The log is a sink the caller chooses: a list keeps every entry, a
 `FireLogWriter` streams them to a file, and None (the default) keeps
-nothing; per-rule counts are in `fire_counts` either way.
+nothing; per-rule counts are in `fire_counts` either way. Provenance lives
+on the facts, not in the log: each fact version's `why` names the rule, the
+seq and the consumed versions that made it, and a rule's modify of a fact it
+consumed folds the chain behind it. What no live fact reaches is freed, so
+the engine's memory follows its working memory, not the length of the feed,
+and a snapshot explains its own facts.
 
 Refraction (an activation fires at most once) needs no memory of fired
 activations. Every activation a mutation creates contains the mutated fact:
@@ -250,7 +252,7 @@ def _tests_ok(tests: tuple, env: tuple) -> bool:
 
 
 def _slot_value(v: object) -> SlotValue:
-    if v is True or v is False or not is_slot_value(v):
+    if not is_slot_value(v):
         raise RuntimeEvalError(f"not a slot value: {v!r}")
     return v
 
@@ -503,11 +505,6 @@ class WmView:
             self._materialize()
         return self._facts[fid]
 
-    def ids_for_template(self, name: str) -> Iterable[int]:
-        if self._parent is not None:
-            self._materialize()
-        return self._by_template.get(name, ())
-
     def facts(self, template: str | None = None) -> list[Fact]:
         if self._parent is not None:
             self._materialize()
@@ -609,27 +606,21 @@ class Engine:
         fact.why = Why(None, self._seq)
         res = self._assert_internal(fact)
         if res.created:
-            self._external(produced=fact)
+            self._event(None, (), (fact,), ())
         return res
 
     def retract_fact(self, fid: int) -> None:
         self.fact(fid)  # UnknownFactId unless live
         self._write(fid, None)
-        self._external(retracted=fid)
+        self._event(None, (), (), (fid,))
 
     def modify_fact(self, fid: int, updates: Mapping[str, SlotValue]) -> None:
         old = self.fact(fid)
         if not updates:
             return  # no-op, no re-activation
-        t = old.template
-        new_values = dict(old.values)
-        for slot, v in updates.items():
-            if slot not in t.slots:
-                raise UnknownSlot(f"template {t.name} has no slot {slot}")
-            if not is_slot_value(v):
-                raise TypeError(f"slot {slot}: not a slot value: {v!r}")
-            new_values[slot] = v
-        self._external(produced=self._modify_internal(fid, new_values, Why(None, self._seq)))
+        values = make_fact(old.template, {**old.values, **updates}).values
+        new = self._modify_internal(fid, values, Why(None, self._seq))
+        self._event(None, (), (new,), ())
 
     def run(self, limit: int | None = None) -> int:
         """Fire until the agenda empties (or `limit` firings); returns the
@@ -666,7 +657,7 @@ class Engine:
         # the matches of patterns 1..lvl, level by level, in fact-id order
         envs = [(Fact(q.arguments, {p: arguments[p] for p in q.parameters}),)]
         for pat, tests in zip(q.patterns, q.tests[1:]):
-            facts = [view.fact(fid) for fid in sorted(view.ids_for_template(pat.template))]
+            facts = view.facts(pat.template)
             if pat.ok is not None:
                 facts = [f for f in facts if pat.ok(f.key[1])]
             extended = []
@@ -744,9 +735,7 @@ class Engine:
         return f
 
     def facts(self, template: str | None = None) -> list[Fact]:
-        if template is None:
-            return [self._wm[i] for i in sorted(self._wm)]
-        return [self._wm[i] for i in sorted(self._by_template.get(template, ()))]
+        return WmView(self._wm, self._by_template).facts(template)
 
     def has_query(self, name: str) -> bool:
         return name in self._queries
@@ -771,34 +760,33 @@ class Engine:
 
     # ---------------- internals ----------------
 
-    def _external(self, produced: Fact | None = None, retracted: int | None = None) -> None:
-        """Count and log one external mutation (rule None)."""
+    def _event(self, rule: str | None, consumed: tuple, produced, retracted, error: str | None = None) -> None:
+        """Close one event, a firing of `rule` or an external change (rule None):
+        take the next seq, which the `why` of each version it produced names."""
         seq = self._seq
         self._seq += 1
         if self._log is not None:
             self._log(
                 FireLogEntry(
                     seq=seq,
-                    rule=None,
-                    consumed=(),
-                    produced=() if produced is None else (produced.id,),
-                    retracted=() if retracted is None else (retracted,),
+                    rule=rule,
+                    consumed=consumed,
+                    produced=tuple([f.id for f in produced]),
+                    retracted=tuple(retracted),
                     ts=self._tick,
-                    facts=() if produced is None else (_logged(produced),),
+                    # values is each fact's own dict, never mutated, in slot order
+                    facts=tuple([(f.id, f.template.name, f.values) for f in produced]),
+                    error=error,
                 )
             )
 
     def _fire(self, ri: int, ids: tuple, facts: tuple) -> None:
         rule = self._rules[ri]
         self.fire_counts[rule.name] += 1
-        seq = self._seq
-        self._seq += 1
-        why = Why(rule.name, seq, facts)
-        log = self._log
+        why = Why(rule.name, self._seq, facts)
         env = list(facts)
-        produced: list[int] = []
+        produced: list[Fact] = []
         retracted: list[int] = []
-        snaps: list = []
         error: str | None = None
         try:
             for step in rule.prog:
@@ -808,9 +796,7 @@ class Engine:
                         fact = make_fact(t, {slot: _slot_value(get(env)) for slot, get in slots})
                         fact.why = why
                         if self._assert_internal(fact).created:
-                            produced.append(fact.id)
-                            if log is not None:
-                                snaps.append(_logged(fact))
+                            produced.append(fact)
                 elif kind == "retract":
                     for pos in step[1]:
                         fid = facts[pos].id
@@ -823,30 +809,15 @@ class Engine:
                     for slot, get in step[2]:
                         new_values[slot] = _slot_value(get(env))
                     # validation makes every modified fact a consumed one
-                    new = self._modify_internal(fid, new_values, _fold(why, ids.index(fid)))
-                    produced.append(fid)
-                    if log is not None:
-                        snaps.append(_logged(new))
+                    produced.append(self._modify_internal(fid, new_values, _fold(why, ids.index(fid))))
                 else:  # bind
                     env.append(step[1](env))
         except (RuntimeEvalError, UnknownFactId, WouldDuplicate) as exc:
             # abort this firing; effects already applied stay applied
             error = f"{type(exc).__name__}: {exc}"
-        if log is not None:
-            log(
-                FireLogEntry(
-                    seq=seq,
-                    rule=rule.name,
-                    consumed=ids,
-                    produced=tuple(produced),
-                    retracted=tuple(retracted),
-                    ts=self._tick,
-                    facts=tuple(snaps),
-                    error=error,
-                )
-            )
+        self._event(rule.name, ids, produced, retracted, error)
 
-    # ----- primitive mutations (each is one event) -----
+    # ----- primitive mutations -----
 
     def _assert_internal(self, fact: Fact) -> AssertResult:
         existing = self._dup.get(fact.key)
@@ -979,11 +950,6 @@ def _fold(why: Why, pos: int) -> Why:
             inputs = why.inputs[:pos] + (opener,) + why.inputs[pos + 1 :]
             return Why(why.rule, why.seq, inputs, pw.folded + 1)
     return why
-
-
-def _logged(f: Fact) -> tuple:
-    # values is the fact's own dict, never mutated, in slot order
-    return (f.id, f.template.name, f.values)
 
 
 # ============================================================

@@ -3,9 +3,10 @@
 The boundary between recorded sensor feeds and the engine: registry JSON
 becomes Person/Corridor facts plus one bootstrap is-currently-at per person,
 and replay files (JSON Lines, sorted by t) are translated record by record
-into MobileTrace facts. All records sharing a timestamp form one cohort,
-asserted together before a single run() call, so replay order within a
-millisecond cannot change the outcome.
+into MobileTrace facts. All records sharing a timestamp form one cohort:
+they are asserted in file order, then the engine runs once, so an exact
+duplicate within a millisecond is counted as a duplicate. Their order can
+still change the outcome, since the rules see the facts in assert order.
 """
 
 from __future__ import annotations
@@ -225,6 +226,20 @@ def _lines(source: str | Path | Iterable[str]) -> Iterable[str]:
         yield from source
 
 
+def check_speed(speed: float | str) -> float | str:
+    """A replay speed: "max", or a multiplier (a number or its text) that is
+    greater than 0, which rules out 0, negatives and NaN."""
+    if speed == "max":
+        return speed
+    try:
+        v = float(speed)
+    except (TypeError, ValueError):
+        raise ValueError(f"speed must be a positive number or 'max', got {speed!r}") from None
+    if not v > 0:
+        raise ValueError("speed must be positive")
+    return v
+
+
 def replay(
     source: str | Path | Iterable[str],
     reg: Registry,
@@ -239,10 +254,7 @@ def replay(
     inter-cohort gaps by 1/speed. Malformed and out-of-order lines are
     counted and skipped; processing always continues.
     """
-    if speed != "max":
-        speed = float(speed)
-        if speed <= 0:
-            raise ValueError("speed must be positive or 'max'")
+    speed = check_speed(speed)
     stats = FeedStats()
     last_t: int | None = None
     cohort: list[SensorRecord] = []

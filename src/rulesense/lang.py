@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .facts import KbError, Symbol, SlotValue, TemplateRegistry
+from .facts import DuplicateSlot, KbError, Symbol, SlotValue, TemplateRegistry
 
 OPS = ("+", "-", "*", "/", "<", ">", "<=", ">=", "eq", "neq")
 
@@ -604,7 +604,7 @@ def format_program(constructs: list[Construct]) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Diagnostic:
-    kind: str  # unknown-template | unknown-slot | duplicate-slot | unbound-variable | not-fact-address | address-in-expression | duplicate-rule | duplicate-template | unbound-parameter | top-level-variable | operator-arity
+    kind: str  # unknown-template | unknown-slot | duplicate-slot | unbound-variable | not-fact-address | address-in-expression | duplicate-rule | duplicate-template | empty-template | unbound-parameter | top-level-variable | operator-arity
     target: str  # rule/query/construct name
     message: str
 
@@ -661,11 +661,13 @@ def _validate_lhs(
 ) -> tuple[set[str], dict[str, str]]:
     """Walk condition elements left to right.
 
-    Returns (bound slot variables, address variable -> template). Diagnostics
-    for unknown or repeated templates/slots, tests on unbound variables, and address
+    Returns (the slot variables the patterns bind, address variable ->
+    template); tests may also read `pre_bound`. Diagnostics for unknown or
+    repeated templates/slots, tests on unbound variables, and address
     variables leaking into expressions.
     """
     bound: set[str] = set(pre_bound)
+    binds: set[str] = set()
     addresses: dict[str, str] = {}
     for ce in lhs:
         if isinstance(ce, Pattern):
@@ -691,9 +693,10 @@ def _validate_lhs(
                             )
                         )
                     bound.add(c.name)
+                    binds.add(c.name)
         else:  # Test
             _check_expr(name, ce.expr, "a test", bound, addresses, diags)
-    return bound, addresses
+    return binds, addresses
 
 
 def validate_rule(rule: RuleDef, registry: TemplateRegistry) -> list[Diagnostic]:
@@ -730,15 +733,9 @@ def validate_rule(rule: RuleDef, registry: TemplateRegistry) -> list[Diagnostic]
 
 def validate_query(query: QueryDef, registry: TemplateRegistry) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    bound, _ = _validate_lhs(query.name, query.lhs, registry, diags, pre_bound=set(query.parameters))
-    pattern_vars: set[str] = set()
-    for ce in query.lhs:
-        if isinstance(ce, Pattern):
-            for _, c in ce.slots:
-                if isinstance(c, Var):
-                    pattern_vars.add(c.name)
+    binds, _ = _validate_lhs(query.name, query.lhs, registry, diags, pre_bound=set(query.parameters))
     for p in query.parameters:
-        if p not in pattern_vars:
+        if p not in binds:
             diags.append(Diagnostic("unbound-parameter", query.name, f"parameter ?{p} occurs in no pattern"))
     return diags
 
@@ -755,8 +752,10 @@ def validate_program(constructs: list[Construct]) -> list[Diagnostic]:
             else:
                 try:
                     registry.define(c.name, list(c.slots))
-                except KbError as e:
-                    diags.append(Diagnostic("duplicate-template", c.name, str(e)))
+                except DuplicateSlot as e:
+                    diags.append(Diagnostic("duplicate-slot", c.name, str(e)))
+                except KbError as e:  # the one other error: no slots
+                    diags.append(Diagnostic("empty-template", c.name, str(e)))
         elif isinstance(c, RuleDef):
             if c.name in rule_names:
                 diags.append(Diagnostic("duplicate-rule", c.name, f"rule {c.name} redefined"))

@@ -93,6 +93,7 @@ def test_parse_prints_diagnostics_in_source_order_under_any_hash_seed(tmp_path):
         ["run", "--registry", "r", "--replay", "f", "--speed", "0"],
         ["run", "--registry", "r", "--replay", "f", "--serve", "nocolon"],
         ["query", "--registry", "r", "--replay", "f", "--query", "q", "--arg", "noequals"],
+        ["run", "--registry", "r", "--replay", "f", "--speed", "nan"],
     ],
 )
 def test_usage_errors_exit_2(argv):

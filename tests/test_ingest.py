@@ -275,7 +275,7 @@ def test_replay_speed_max_never_sleeps(monkeypatch):
     replay([record_line(1000, "730"), record_line(9000, "740")], reg, e, speed="max")
 
 
-@pytest.mark.parametrize("speed", [0, -1, "fast"])
+@pytest.mark.parametrize("speed", [0, -1, "fast", "nan"])
 def test_replay_rejects_bad_speed(speed):
     reg = load_registry(GOOD)
     e = fresh_engine(reg)

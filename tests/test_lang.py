@@ -394,6 +394,8 @@ def test_validate_bind_introduces_binding():
         ("(defquery q (declare (variables ?p)) (T (a ?x)) (test (> ?x ?p)))", ["unbound-parameter"]),
         ("(assert (T (a ?x)))", ["top-level-variable"]),
         ("(assert (U (a 1)))", ["unknown-template"]),
+        ("(deftemplate A (slot x) (slot x))", ["duplicate-slot"]),
+        ("(deftemplate A)", ["empty-template"]),
     ],
 )
 def test_validate_flags(tail, kinds):
