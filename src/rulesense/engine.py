@@ -9,7 +9,8 @@ rule variable compiles once to a read at a fixed position of that tuple (its
 environment, which an RHS `bind` extends). Matching keeps one memory shape on
 both sides of every join (as in Rete/UL): a rule's `right[lvl]` holds the
 facts that match pattern `lvl`, its `left[lvl]` the partial matches of
-patterns 1..`lvl`, each under a join key read from `Fact.key`. A fact leaves
+patterns 1..`lvl`, each under a join key read from `Fact.key`, whose values
+are the fact's own value tuple unless a slot holds a Float. A fact leaves
 the memories as it entered them (as in Forgy's Rete): a retract or modify
 walks the old version through the same joins, so no index of entries is kept.
 
@@ -51,6 +52,7 @@ from typing import Iterable, Mapping
 
 from . import lang
 from .facts import (
+    NIL,
     Fact,
     KbError,
     SlotValue,
@@ -122,29 +124,30 @@ def eval_expr(e: lang.Expr, bindings: Mapping[str, object]) -> object:
     Arithmetic on non-numeric operands raises RuntimeEvalError; comparisons on
     non-numeric operands are plain false. Division always yields float.
     """
-    where = {name: (pos, None, None) for pos, name in enumerate(bindings)}
+    where = {name: (pos, None) for pos, name in enumerate(bindings)}
     return _compile_value(e, where)(tuple(bindings.values()))
 
 
-_ADDRESS = "<-"  # the slot of a fact address in `where`; `<-` is no slot name
+_ADDRESS = "<-"  # the slot index of a fact address in `where`
 
 
 def _read(where: dict, name: str):
     """Read variable `name` from an environment (a match's facts, then the
-    values its RHS binds) through `where`: name -> (position, slot index,
-    slot), where slot None means the position holds the value itself."""
+    values its RHS binds) through `where`: name -> (position, slot index),
+    where index None means the position holds the value itself and
+    `_ADDRESS` means the fact's id."""
     if name not in where:
 
         def unbound(env):
             raise RuntimeEvalError(f"unbound variable ?{name}")
 
         return unbound
-    pos, _, slot = where[name]
-    if slot is None:
+    pos, i = where[name]
+    if i is None:
         return lambda env: env[pos]
-    if slot == _ADDRESS:
+    if i == _ADDRESS:
         return lambda env: env[pos].id
-    return lambda env: env[pos].values[slot]
+    return lambda env: env[pos].vals[i]
 
 
 def _compile_value(e: lang.Expr, where: dict):
@@ -257,27 +260,35 @@ def _slot_value(v: object) -> SlotValue:
     return v
 
 
-def _compile_slots(slots: tuple, where: dict) -> tuple:
-    return tuple((slot, _compile_value(e, where)) for slot, e in slots)
+def _compile_slots(t: Template, slots: tuple, where: dict) -> tuple:
+    """(slot index, compiled value) per slot of an assert or modify of a
+    `t` fact, in source order, which is the order they are evaluated in."""
+    return tuple((t.slots.index(slot), _compile_value(e, where)) for slot, e in slots)
 
 
-def _compile_rhs(rhs: tuple, templates: TemplateRegistry, where: dict, size: int) -> tuple:
+def _compile_rhs(rhs: tuple, templates: TemplateRegistry, where: dict, patterns: list) -> tuple:
     """Lower RHS actions to dispatch tuples. Retract and modify name pattern
-    positions; a bind appends its value to the environment (`size` long so
-    far), and the actions after it read that position."""
+    positions; a bind appends its value to the environment (one fact per
+    pattern so far), and the actions after it read that position."""
+    size = len(patterns)
     where = dict(where)
     prog: list[tuple] = []
     for a in rhs:
         if isinstance(a, lang.AssertAction):
-            specs = [(templates.get(s.template), _compile_slots(s.slots, where)) for s in a.facts]
+            specs = []
+            for s in a.facts:
+                t = templates.get(s.template)
+                specs.append((t, _compile_slots(t, s.slots, where)))
             prog.append(("assert", tuple(specs)))
         elif isinstance(a, lang.RetractAction):
             prog.append(("retract", tuple(where[v][0] for v in a.variables)))
         elif isinstance(a, lang.ModifyAction):
-            prog.append(("modify", where[a.variable][0], _compile_slots(a.updates, where)))
+            pos = where[a.variable][0]
+            t = templates.get(patterns[pos].template)
+            prog.append(("modify", pos, _compile_slots(t, a.updates, where)))
         else:
             prog.append(("bind", _compile_value(a.expr, where)))
-            where[a.variable] = (size, None, None)
+            where[a.variable] = (size, None)
             size += 1
     return tuple(prog)
 
@@ -312,11 +323,11 @@ class _CPattern:
             else:
                 here[c.name] = i
                 if c.name in where:
-                    join.append((i, *where[c.name][:2]))
+                    join.append((i, *where[c.name]))
                 else:
-                    where[c.name] = (pos, i, slot)
+                    where[c.name] = (pos, i)
         if p.address is not None:
-            where[p.address] = (pos, None, _ADDRESS)
+            where[p.address] = (pos, _ADDRESS)
         # an itemgetter gives a value for one index and a tuple for more
         self.ok = None
         if lits:
@@ -363,7 +374,7 @@ class _CRule:
         where: dict = {}
         self.patterns, self.tests = _compile_lhs(r.lhs, templates, where, 0)
         self.k = len(self.patterns)
-        self.prog = _compile_rhs(r.rhs, templates, where, self.k)
+        self.prog = _compile_rhs(r.rhs, templates, where, self.patterns)
         # join memories by level (module docstring)
         self.left: list[dict] = [{} for _ in range(self.k + 1)]
         self.right: list[dict] = [{} for _ in range(self.k + 1)]
@@ -378,7 +389,7 @@ class _CQuery:
         # the arguments are one fact at position 0, of a template named after
         # the query with the parameters as slots
         self.arguments = Template(q.name, q.parameters)
-        where = {p: (0, i, p) for i, p in enumerate(q.parameters)}
+        where = {p: (0, i) for i, p in enumerate(q.parameters)}
         self.patterns, self.tests = _compile_lhs(q.lhs, templates, where, 1)
         # a row's bindings: the parameters, then each pattern's new variables
         # and its address, in the order `where` gained them
@@ -411,8 +422,9 @@ class AssertResult:
 class FireLogEntry:
     """One fire (or one external mutation, rule None).
 
-    `facts` snapshots every produced id's content at that moment —
-    (id, template name, slot -> value in slot order) — which makes the log
+    `facts` holds the content of every version the event produced, as
+    (id, template name, slot -> value dict in slot order), a dict built from
+    the version's value tuple when the entry is made; it makes the log
     replayable against an empty WM. `ts` is a logical mutation tick, not wall
     clock.
     """
@@ -618,8 +630,8 @@ class Engine:
         old = self.fact(fid)
         if not updates:
             return  # no-op, no re-activation
-        values = make_fact(old.template, {**old.values, **updates}).values
-        new = self._modify_internal(fid, values, Why(None, self._seq))
+        vals = make_fact(old.template, {**old.values, **updates}).vals
+        new = self._modify_internal(fid, vals, Why(None, self._seq))
         self._event(None, (), (new,), ())
 
     def run(self, limit: int | None = None) -> int:
@@ -655,7 +667,7 @@ class Engine:
         if view is None:
             view = WmView(self._wm, self._by_template)
         # the matches of patterns 1..lvl, level by level, in fact-id order
-        envs = [(Fact(q.arguments, {p: arguments[p] for p in q.parameters}),)]
+        envs = [(Fact(q.arguments, tuple([arguments[p] for p in q.parameters])),)]
         for pat, tests in zip(q.patterns, q.tests[1:]):
             facts = view.facts(pat.template)
             if pat.ok is not None:
@@ -697,7 +709,7 @@ class Engine:
             memo[id(f)] = ExplainNode(
                 fact_id=f.id,
                 template=f.template.name,
-                values=dict(f.values),
+                values=dict(zip(f.template.slots, f.vals)),
                 rule=why.rule,
                 seq=why.seq,
                 folded=why.folded,
@@ -774,7 +786,6 @@ class Engine:
                     produced=tuple([f.id for f in produced]),
                     retracted=tuple(retracted),
                     ts=self._tick,
-                    # values is each fact's own dict, never mutated, in slot order
                     facts=tuple([(f.id, f.template.name, f.values) for f in produced]),
                     error=error,
                 )
@@ -793,8 +804,10 @@ class Engine:
                 kind = step[0]
                 if kind == "assert":
                     for t, slots in step[1]:
-                        fact = make_fact(t, {slot: _slot_value(get(env)) for slot, get in slots})
-                        fact.why = why
+                        vals = [NIL] * len(t.slots)
+                        for i, get in slots:
+                            vals[i] = _slot_value(get(env))
+                        fact = Fact(t, tuple(vals), why=why)
                         if self._assert_internal(fact).created:
                             produced.append(fact)
                 elif kind == "retract":
@@ -805,11 +818,11 @@ class Engine:
                         retracted.append(fid)
                 elif kind == "modify":
                     fid = facts[step[1]].id
-                    new_values = dict(self.fact(fid).values)
-                    for slot, get in step[2]:
-                        new_values[slot] = _slot_value(get(env))
+                    vals = list(self.fact(fid).vals)
+                    for i, get in step[2]:
+                        vals[i] = _slot_value(get(env))
                     # validation makes every modified fact a consumed one
-                    produced.append(self._modify_internal(fid, new_values, _fold(why, ids.index(fid))))
+                    produced.append(self._modify_internal(fid, tuple(vals), _fold(why, ids.index(fid))))
                 else:  # bind
                     env.append(step[1](env))
         except (RuntimeEvalError, UnknownFactId, WouldDuplicate) as exc:
@@ -828,8 +841,8 @@ class Engine:
         self._write(fid, fact)
         return AssertResult(fid, True)
 
-    def _modify_internal(self, fid: int, new_values: dict, why: Why) -> Fact:
-        new = Fact(self._wm[fid].template, new_values, id=fid, why=why)
+    def _modify_internal(self, fid: int, vals: tuple, why: Why) -> Fact:
+        new = Fact(self._wm[fid].template, vals, id=fid, why=why)
         hit = self._dup.get(new.key)
         if hit is not None and hit != fid:
             raise WouldDuplicate(f"update of fact {fid} collides with live fact {hit}")
@@ -1039,7 +1052,7 @@ def wm_to_canonical_json(view: WmView | Engine) -> str:
             {
                 "id": f.id,
                 "template": f.template.name,
-                "values": {s: encode_value(f.values[s]) for s in f.template.slots},
+                "values": {s: encode_value(v) for s, v in zip(f.template.slots, f.vals)},
             }
         )
     return json.dumps(out, separators=(",", ":"), sort_keys=False)

@@ -4,6 +4,12 @@ A slot holds exactly one of four value kinds: Symbol (unquoted identifier such
 as a location code), Text (quoted string), Integer (epoch milliseconds and
 other counts), or Float. Identity is type-strict throughout: Integer 20 and
 Float 20.0 are different values, and so are Symbol 730 and Text "730".
+
+A fact version stores its slot values once, as a tuple in template slot
+order (`Fact.vals`). That tuple is also its identity and the source of its
+join keys: no Symbol, Text or Integer compares equal to a value of another
+kind, so those values are their own keys, and only a Float needs a tagged
+key (its bit pattern).
 """
 
 from __future__ import annotations
@@ -53,22 +59,19 @@ NIL = Symbol("nil")
 SlotValue = Symbol | str | int | float
 
 
-def value_key(v: SlotValue) -> tuple:
+def value_key(v: SlotValue) -> SlotValue | tuple:
     """Hashable identity key for a slot value.
 
-    Kind tag first so Symbol/Text and Integer/Float never collide; floats are
-    compared bitwise (so -0.0 != 0.0 and nan == nan, which keeps the engine's
-    set semantics total).
+    A Symbol, Text or Integer is its own key: Python never finds two of them
+    of different kinds equal. A Float is tagged and compared bitwise,
+    ("f", bits), so it never equals an Integer, -0.0 != 0.0 and nan == nan,
+    which keeps the engine's set semantics total.
     """
     t = type(v)
-    if t is Symbol:
-        return ("s", v.name)
-    if t is str:
-        return ("t", v)
-    if t is int:
-        return ("i", v)
     if t is float:
         return ("f", struct.pack(">d", v))
+    if t is Symbol or t is str or t is int:
+        return v
     raise TypeError(f"not a slot value: {v!r}")
 
 
@@ -151,47 +154,51 @@ class Why:
 class Fact:
     """One immutable fact version. `id` is None until the engine asserts it.
 
-    `key` is the precomputed identity of (template, slot values) used for
-    duplicate detection; it deliberately ignores `id`. `why` is the version's
-    provenance, set by the engine; it holds only older versions, so the
-    provenance no live fact reaches is freed with it.
+    `vals` holds the slot values in template slot order. `key` is the
+    identity of (template, slot values) used for duplicate detection and
+    join keys, (template name, vals) with `vals` itself unless a slot holds
+    a Float, whose slots then all go through `value_key`; it deliberately
+    ignores `id`. `why` is the version's provenance, set by the engine; it
+    holds only older versions, so the provenance no live fact reaches is
+    freed with it.
     """
 
-    __slots__ = ("id", "template", "values", "key", "why")
+    __slots__ = ("id", "template", "vals", "key", "why")
 
-    def __init__(
-        self, template: Template, values: dict[str, SlotValue], id: int | None = None, why: Why | None = None
-    ):
+    def __init__(self, template: Template, vals: tuple, id: int | None = None, why: Why | None = None):
         self.id = id
         self.template = template
-        self.values = values
-        self.key = (template.name, tuple(value_key(values[s]) for s in template.slots))
+        self.vals = vals
+        self.key = (template.name, tuple([value_key(v) for v in vals]) if float in map(type, vals) else vals)
         self.why = why
+
+    @property
+    def values(self) -> dict[str, SlotValue]:
+        """A new slot -> value dict in slot order; for cold paths only."""
+        return dict(zip(self.template.slots, self.vals))
 
     def value(self, slot: str) -> SlotValue:
         try:
-            return self.values[slot]
-        except KeyError:
+            return self.vals[self.template.slots.index(slot)]
+        except ValueError:
             raise UnknownSlot(f"template {self.template.name} has no slot {slot}") from None
 
     def __repr__(self) -> str:
-        inner = " ".join(f"({s} {self.values[s]!r})" for s in self.template.slots)
+        inner = " ".join(f"({s} {v!r})" for s, v in zip(self.template.slots, self.vals))
         tag = f"f-{self.id}" if self.id is not None else "f-?"
         return f"<{tag} ({self.template.name} {inner})>"
 
 
 def make_fact(template: Template, bindings: Mapping[str, SlotValue]) -> Fact:
     """Build an unasserted fact; unset slots are filled with the nil Symbol."""
-    values: dict[str, SlotValue] = {}
     for slot in bindings:
         if slot not in template.slots:
             raise UnknownSlot(f"template {template.name} has no slot {slot}")
-    for slot in template.slots:
-        v = bindings.get(slot, NIL)
+    vals = tuple([bindings.get(slot, NIL) for slot in template.slots])
+    for slot, v in zip(template.slots, vals):
         if not is_slot_value(v):
             raise TypeError(f"slot {slot}: not a slot value: {v!r}")
-        values[slot] = v
-    return Fact(template, values)
+    return Fact(template, vals)
 
 
 def facts_equal(a: Fact, b: Fact) -> bool:

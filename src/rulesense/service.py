@@ -162,7 +162,7 @@ class QueryService:
                 {
                     "id": f.id,
                     "template": f.template.name,
-                    "values": {s: render_value(f.values[s]) for s in f.template.slots},
+                    "values": {s: render_value(v) for s, v in zip(f.template.slots, f.vals)},
                 }
                 for f in facts
             ]

@@ -412,6 +412,82 @@ def test_partner_churn_keeps_join_memory_flat(churn):
     assert grown < 64 * 1024, f"retained memory grew {grown} bytes from 10k to 20k cycles"
 
 
+KINDS = """
+(deftemplate L (slot n) (slot k) (slot w))
+(deftemplate R (slot n) (slot k) (slot w))
+(deftemplate Hit (slot l) (slot r))
+(defrule pair (L (n ?l) (k ?k)) (R (n ?r) (k ?k)) => (assert (Hit (l ?l) (r ?r))))
+"""
+
+
+def _hits(e):
+    e.run()
+    return sorted((h.value("l"), h.value("r")) for h in e.facts("Hit"))
+
+
+def test_float_identity_is_bitwise():
+    e = eng(KINDS)
+    zero = e.assert_fact("R", {"k": 0.0})
+    negzero = e.assert_fact("R", {"k": -0.0})
+    assert zero.created and negzero.created and zero.fact_id != negzero.fact_id
+    nan = e.assert_fact("R", {"k": float("nan")})
+    again = e.assert_fact("R", {"k": float("nan")})
+    assert nan.created and again.duplicate and again.fact_id == nan.fact_id
+
+
+@pytest.mark.parametrize("a, b", [(1, 1.0), (Symbol("a"), "a")], ids=["int-float", "symbol-text"])
+def test_values_of_different_kinds_never_duplicate_or_join(a, b):
+    e = eng(KINDS)
+    # the same n, so only the differing kinds keep the two facts apart
+    ra = e.assert_fact("R", {"n": 1, "k": a})
+    rb = e.assert_fact("R", {"n": 1, "k": b})
+    assert ra.created and rb.created and ra.fact_id != rb.fact_id
+    e.assert_fact("L", {"n": 1, "k": a})
+    e.assert_fact("L", {"n": 2, "k": b})
+    # each L joins only the R of its own kind: one activation each
+    e.run()
+    assert e.fire_counts["pair"] == 2
+
+
+@pytest.mark.parametrize("k", [7, Symbol("s")], ids=["int", "symbol"])
+def test_a_fact_with_a_float_joins_one_without(k):
+    # a Float sends every slot of its fact's key through value_key, which
+    # keeps Integers and Symbols raw, so they meet the keys of Float-free facts
+    e = eng(KINDS)
+    e.assert_fact("L", {"n": 1, "k": k, "w": 0.5})
+    e.assert_fact("R", {"n": 1, "k": k})
+    assert _hits(e) == [(1, 1)]
+    e.assert_fact("R", {"n": 2, "k": k, "w": 2.5})
+    e.assert_fact("L", {"n": 2, "k": k})
+    assert _hits(e) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def test_a_live_fact_version_stays_compact():
+    """A fact version stores its values once and its key shares the value
+    tuple. A live 4-slot fact, with its place in the WM, retains about 590
+    bytes on CPython 3.11; a values dict beside a key of tagged per-slot
+    tuples retains about 1,000, which the bound rejects."""
+    e = Engine(parse_program("(deftemplate R (slot name) (slot location) (slot tStart) (slot tFinish))"))
+    n = 20_000
+    names = [f"P{i % 50}" for i in range(n)]
+    locations = [Symbol(str(700 + i % 40)) for i in range(n)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            t = 1_700_000_000_000 + i
+            e.assert_fact("R", {"name": names[i], "location": locations[i], "tStart": t, "tFinish": t + i})
+        gc.collect()
+        per_fact = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert len(e.facts("R")) == n
+    assert per_fact < 800, f"{per_fact:.0f} bytes retained per live fact"
+    f = e.facts("R")[0]
+    assert f.key[1] is f.vals
+
+
 # ------------------------------------------------------------
 # RHS failure handling
 # ------------------------------------------------------------
@@ -551,7 +627,7 @@ def test_firelog_replay_reproduces_final_wm():
     drive_chatty(e)
     replayed = replay_firelog(firelog_to_jsonl(e.firelog))
     live = {
-        f.id: (f.template.name, {s: value_key(f.values[s]) for s in f.template.slots})
+        f.id: (f.template.name, {s: value_key(v) for s, v in f.values.items()})
         for f in e.facts()
     }
     assert {fid: (t, {s: value_key(v) for s, v in vals.items()}) for fid, (t, vals) in replayed.items()} == live

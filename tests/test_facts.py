@@ -94,9 +94,9 @@ def test_make_fact_fills_nil_and_validates():
 
 def test_fact_equality_ignores_ids():
     t = Template("T", ("a",))
-    f1 = Fact(t, {"a": 1}, id=1)
-    f2 = Fact(t, {"a": 1}, id=2)
-    f3 = Fact(t, {"a": 1.0}, id=1)
+    f1 = Fact(t, (1,), id=1)
+    f2 = Fact(t, (1,), id=2)
+    f3 = Fact(t, (1.0,), id=1)
     assert facts_equal(f1, f2)
     assert not facts_equal(f1, f3)  # Integer 1 vs Float 1.0
 
