@@ -223,6 +223,10 @@ def _compile_value(e: lang.Expr, where: dict):
         def eq2(b, ga=ga, gb=gb, want=want, op=op):
             x = ga(b)
             y = gb(b)
+            t = type(x)
+            # values of one of these kinds are their own keys (value_key)
+            if t is type(y) and (t is Symbol or t is int or t is str):
+                return (x == y) is want
             for a in (x, y):
                 if not is_slot_value(a):
                     raise RuntimeEvalError(f"{op} on non-slot-value {a!r}")
@@ -341,6 +345,9 @@ class _CPattern:
         if len(join) == 1:
             ((_, wpos, wi),) = join
             self.lkey = lambda env: env[wpos].key[1][wi]
+        elif len(join) == 2:
+            (_, p1, i1), (_, p2, i2) = join
+            self.lkey = lambda env: (env[p1].key[1][i1], env[p2].key[1][i2])
         else:  # () without a join
             self.lkey = lambda env: tuple([env[wpos].key[1][wi] for _, wpos, wi in join])
 
@@ -979,7 +986,10 @@ def encode_value(v: SlotValue) -> object:
 
 def decode_value(obj: object) -> SlotValue:
     if isinstance(obj, dict):
-        return Symbol(obj["s"])
+        name = obj.get("s")
+        if len(obj) != 1 or type(name) is not str or not name:
+            raise ValueError(f"not an encoded Symbol: {obj!r}")
+        return Symbol(name)
     if isinstance(obj, bool):
         raise ValueError("boolean is not a slot value")
     if isinstance(obj, (str, int, float)):

@@ -5,6 +5,12 @@ as a location code), Text (quoted string), Integer (epoch milliseconds and
 other counts), or Float. Identity is type-strict throughout: Integer 20 and
 Float 20.0 are different values, and so are Symbol 730 and Text "730".
 
+Symbols are interned: there is one live Symbol object per name, so two
+Symbols are equal exactly when they are the same object, and hashing and
+comparing one are the default identity operations, which run in C. The
+intern table holds its Symbols weakly, so it only ever holds the names that
+live values still use.
+
 A fact version stores its slot values once, as a tuple in template slot
 order (`Fact.vals`). That tuple is also its identity and the source of its
 join keys: no Symbol, Text or Integer compares equal to a value of another
@@ -15,6 +21,8 @@ key (its bit pattern).
 from __future__ import annotations
 
 import struct
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -39,11 +47,50 @@ class UnknownSlot(KbError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Symbol:
-    """Unquoted identifier: location codes, the nil filler, bare words."""
+_symbols: weakref.WeakValueDictionary[str, Symbol] = weakref.WeakValueDictionary()
+_symbols_lock = threading.Lock()
 
+
+class Symbol:
+    """Unquoted identifier: location codes, the nil filler, bare words.
+
+    `Symbol(name)` returns the one live Symbol for `name`, so Symbols compare
+    and hash by identity. A Symbol is immutable, and copying or unpickling
+    one gives back the interned object.
+    """
+
+    __slots__ = ("name", "__weakref__")
     name: str
+
+    def __new__(cls, name: str) -> Symbol:
+        s = _symbols.get(name)
+        if s is not None:
+            return s
+        if type(name) is not str:
+            raise TypeError(f"Symbol name must be a str, not {type(name).__name__}")
+        with _symbols_lock:
+            # another thread may have made it since the lookup above
+            s = _symbols.get(name)
+            if s is None:
+                s = object.__new__(cls)
+                object.__setattr__(s, "name", name)
+                _symbols[name] = s
+        return s
+
+    def __setattr__(self, attr: str, value: object) -> None:
+        raise AttributeError(f"Symbol is immutable: cannot set {attr}")
+
+    def __delattr__(self, attr: str) -> None:
+        raise AttributeError(f"Symbol is immutable: cannot delete {attr}")
+
+    def __reduce__(self) -> tuple:
+        return (Symbol, (self.name,))
+
+    def __copy__(self) -> Symbol:
+        return self
+
+    def __deepcopy__(self, memo: dict) -> Symbol:
+        return self
 
     def __str__(self) -> str:
         return self.name
@@ -63,9 +110,10 @@ def value_key(v: SlotValue) -> SlotValue | tuple:
     """Hashable identity key for a slot value.
 
     A Symbol, Text or Integer is its own key: Python never finds two of them
-    of different kinds equal. A Float is tagged and compared bitwise,
-    ("f", bits), so it never equals an Integer, -0.0 != 0.0 and nan == nan,
-    which keeps the engine's set semantics total.
+    of different kinds equal, and an interned Symbol equals only itself. A
+    Float is tagged and compared bitwise, ("f", bits), so it never equals an
+    Integer, -0.0 != 0.0 and nan == nan, which keeps the engine's set
+    semantics total.
     """
     t = type(v)
     if t is float:

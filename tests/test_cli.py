@@ -209,6 +209,29 @@ def test_run_streams_the_golden_firelog(tmp_path, capsys):
     ]
 
 
+def test_run_firelog_is_identical_under_any_hash_seed(tmp_path):
+    # Symbols hash by identity, and str hashes change with the seed: neither
+    # may reach the log. The seed is fixed when an interpreter starts, so
+    # each seed needs its own child.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    logs = []
+    for seed in ("0", "1", "4242"):
+        log = tmp_path / f"fires-{seed}.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rulesense.cli", "run", *s1_args(), "--firelog", str(log)],
+            env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        logs.append(log.read_bytes())
+    assert logs[0] != b""
+    assert logs == [logs[0]] * 3
+
+
 def test_run_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert run_cli("run", *s1_args(), "--firelog", str(a)) == 0

@@ -19,6 +19,8 @@ from rulesense.engine import (
     UnknownQuery,
     ValidationFailed,
     WouldDuplicate,
+    decode_value,
+    encode_value,
     eval_expr,
     firelog_to_jsonl,
     replay_firelog,
@@ -631,6 +633,32 @@ def test_firelog_replay_reproduces_final_wm():
         for f in e.facts()
     }
     assert {fid: (t, {s: value_key(v) for s, v in vals.items()}) for fid, (t, vals) in replayed.items()} == live
+
+
+def test_decode_value_round_trips_every_kind():
+    for v in (Symbol("730"), "730", 730, 7.5, -0.0):
+        back = decode_value(encode_value(v))
+        assert type(back) is type(v) and value_key(back) == value_key(v)
+    assert decode_value({"s": "730"}) is Symbol("730")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},  # no name
+        {"t": "730"},  # no name, another key
+        {"s": 5},  # not a str
+        {"s": None},
+        {"s": ""},  # empty
+        {"s": "730", "t": 1},  # an extra key
+        True,
+        None,
+        [1],
+    ],
+)
+def test_decode_value_rejects_malformed_encodings(obj):
+    with pytest.raises(ValueError):
+        decode_value(obj)
 
 
 def test_firelog_seq_is_dense_and_ts_monotonic():

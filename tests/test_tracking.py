@@ -107,6 +107,25 @@ def test_reverse_walk_reports_no_journey(registry_s1):
     assert shaped_query(engine, "find_journeys", {"name": "Pete"}) == []
 
 
+def test_zero_time_traversal_is_no_journey_and_no_error(registry_s1):
+    # readings at both corridor ends in one millisecond mean the readers
+    # overlapped. Recency fires the later reading of the cohort first, so
+    # the 730 interval closes at T0+4000 just as the 740 one opens: a move
+    # that takes no time, which must not reach the velocity division
+    lines = [
+        record_line(T0, "730"),
+        record_line(T0 + 4000, "740"),
+        record_line(T0 + 4000, "730"),
+        record_line(T0 + 8000, "740"),
+    ]
+    log = []
+    engine, stats = run_pipeline(registry_s1, lines, firelog=log)
+    assert stats.facts == 4
+    assert [e.error for e in log if e.error is not None] == []
+    assert shaped_query(engine, "find_journeys", {"name": "Pete"}) == []
+    assert engine.fire_counts["find_corridor_events"] == 0
+
+
 # ------------------------------------------------------------
 # the timed walk (known corridor times)
 # ------------------------------------------------------------
