@@ -13,11 +13,9 @@ from .facts import (
     TemplateRegistry,
     UnknownSlot,
     UnknownTemplate,
-    facts_equal,
     is_slot_value,
     make_fact,
     value_key,
-    values_equal,
 )
 from .lang import (
     Diagnostic,
@@ -57,7 +55,6 @@ from .ingest import (
     MalformedRegistry,
     Registry,
     SensorRecord,
-    Skip,
     bootstrap,
     initial_facts,
     load_registry,

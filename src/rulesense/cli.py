@@ -34,9 +34,12 @@ def _hostport(s: str) -> tuple[str, int]:
     if not sep or not host:
         raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {s!r}")
     try:
-        return host, int(port)
+        n = int(port)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad port in {s!r}")
+        raise argparse.ArgumentTypeError(f"bad port in {s!r}") from None
+    if not 0 <= n <= 65535:
+        raise argparse.ArgumentTypeError(f"port out of range 0-65535 in {s!r}")
+    return host, n
 
 
 def _kv(s: str) -> tuple[str, str]:
@@ -53,14 +56,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("parse", help="validate a knowledge base file")
     sp.add_argument("--kb", required=True)
 
-    def pipeline_args(sp, with_query=False):
+    def pipeline_args(sp):
         sp.add_argument("--kb", default=None, help="KB file (default: the shipped tracking KB)")
         sp.add_argument("--registry", required=True)
         sp.add_argument("--replay", required=True)
         sp.add_argument("--speed", type=_speed, default="max")
         sp.add_argument("--delay-correction", type=int, default=0, metavar="MS")
-        sp.add_argument("--pass-unknown", action="store_true", help="assert readings from unregistered devices too")
-        sp.add_argument("--exclude-rule", action="append", default=[], metavar="NAME")
 
     sr = sub.add_parser("run", help="replay a feed through the engine")
     pipeline_args(sr)
@@ -105,7 +106,7 @@ def _load_pipeline(args, files=None):
     sink = None
     if files is not None and args.firelog:
         sink = FireLogWriter(files.enter_context(open(args.firelog, "w", encoding="utf-8")))
-    return start_pipeline(reg, kb_text, args.exclude_rule, sink), reg
+    return start_pipeline(reg, kb_text, sink), reg
 
 
 def _cmd_run(args) -> int:
@@ -123,8 +124,7 @@ def _cmd_run(args) -> int:
             reg,
             engine,
             speed=args.speed,
-            pass_unknown=args.pass_unknown,
-            on_cycle=service.refresh if service else None,
+            on_cycle=(lambda _engine: service.refresh()) if service else None,
         )
     if service:
         service.refresh()
@@ -142,7 +142,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_query(args) -> int:
     engine, reg = _load_pipeline(args)
-    replay(args.replay, reg, engine, speed=args.speed, pass_unknown=args.pass_unknown)
+    replay(args.replay, reg, engine, speed=args.speed)
     params = {k: coerce_arg(v) for k, v in args.arg}
     rows = shaped_query(
         engine,

@@ -417,10 +417,6 @@ class AssertResult:
         self.fact_id = fact_id
         self.created = created
 
-    @property
-    def duplicate(self) -> bool:
-        return not self.created
-
     def __repr__(self) -> str:
         return f"AssertResult({'new' if self.created else 'duplicate'} {self.fact_id})"
 
@@ -756,26 +752,9 @@ class Engine:
     def facts(self, template: str | None = None) -> list[Fact]:
         return WmView(self._wm, self._by_template).facts(template)
 
-    def has_query(self, name: str) -> bool:
-        return name in self._queries
-
-    def query_parameters(self, name: str) -> tuple[str, ...]:
-        q = self._queries.get(name)
-        if q is None:
-            raise UnknownQuery(f"unknown query {name}")
-        return q.parameters
-
     @property
     def rule_names(self) -> list[str]:
         return [r.name for r in self._rules]
-
-    @property
-    def query_names(self) -> list[str]:
-        return list(self._queries)
-
-    def agenda_size(self) -> int:
-        # live activations only (the heap may hold cancelled ones)
-        return sum(all(self._wm.get(f.id) is f for f in facts) for *_, facts in self._agenda)
 
     # ---------------- internals ----------------
 

@@ -24,7 +24,7 @@ import struct
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class KbError(Exception):
@@ -127,20 +127,12 @@ def is_slot_value(v: object) -> bool:
     return type(v) in (Symbol, str, int, float)
 
 
-def values_equal(a: SlotValue, b: SlotValue) -> bool:
-    """Type-strict equality; the relation behind eq/neq and duplicate detection."""
-    return value_key(a) == value_key(b)
-
-
 @dataclass(frozen=True, slots=True)
 class Template:
     """A named fact shape: ordered, distinct slot names."""
 
     name: str
     slots: tuple[str, ...]
-
-    def has_slot(self, slot: str) -> bool:
-        return slot in self.slots
 
 
 class TemplateRegistry:
@@ -171,12 +163,6 @@ class TemplateRegistry:
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
-
-    def __iter__(self) -> Iterator[Template]:
-        return iter(self._by_name.values())
-
-    def __len__(self) -> int:
-        return len(self._by_name)
 
 
 class Why:
@@ -247,8 +233,3 @@ def make_fact(template: Template, bindings: Mapping[str, SlotValue]) -> Fact:
         if not is_slot_value(v):
             raise TypeError(f"slot {slot}: not a slot value: {v!r}")
     return Fact(template, vals)
-
-
-def facts_equal(a: Fact, b: Fact) -> bool:
-    """Same template and slot-wise identical values; ids are irrelevant."""
-    return a.key == b.key

@@ -3,10 +3,13 @@
 The boundary between recorded sensor feeds and the engine: registry JSON
 becomes Person/Corridor facts plus one bootstrap is-currently-at per person,
 and replay files (JSON Lines, sorted by t) are translated record by record
-into MobileTrace facts. All records sharing a timestamp form one cohort:
-they are asserted in file order, then the engine runs once, so an exact
-duplicate within a millisecond is counted as a duplicate. Their order can
-still change the outcome, since the rules see the facts in assert order.
+into MobileTrace facts. A reading from a device no registered person holds
+is counted as an unknown device and never asserted: no rule could consume
+it, so it would only grow working memory. All records sharing a timestamp
+form one cohort: they are asserted in file order, then the engine runs once,
+so an exact duplicate within a millisecond is counted as a duplicate. Their
+order can still change the outcome, since the rules see the facts in assert
+order.
 """
 
 from __future__ import annotations
@@ -149,6 +152,10 @@ def bootstrap(engine: Engine, reg: Registry) -> None:
 # ---------------- sensor records ----------------
 
 
+# 9999-12-31T23:59:59.999Z: the last instant a row's HH:MM:SS can render
+MAX_T = 253_402_300_799_999
+
+
 @dataclass(frozen=True, slots=True)
 class SensorRecord:
     t: int
@@ -159,17 +166,12 @@ class SensorRecord:
     motion: bool | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Skip:
-    reason: str
-
-
 def parse_record(obj: object, line: int) -> SensorRecord:
     if not isinstance(obj, dict):
         raise MalformedRecord(line, "record must be a JSON object")
     t = obj.get("t")
-    if isinstance(t, bool) or not isinstance(t, int) or t < 0:
-        raise MalformedRecord(line, "t must be a non-negative integer (epoch ms)")
+    if isinstance(t, bool) or not isinstance(t, int) or not 0 <= t <= MAX_T:
+        raise MalformedRecord(line, f"t must be an integer from 0 to {MAX_T} (epoch ms)")
     sensor = obj.get("sensor")
     if sensor not in ("rfidReader", "btReader"):
         raise MalformedRecord(line, f"unknown sensor {sensor!r}")
@@ -196,11 +198,12 @@ def parse_record(obj: object, line: int) -> SensorRecord:
     return SensorRecord(t, sensor, loc, addr)
 
 
-def translate(r: SensorRecord, reg: Registry, pass_unknown: bool = False) -> dict | Skip:
-    """MobileTrace bindings for one record; location comes from the IR code
-    for rfid readings and from the reader's own location for bt readings."""
-    if not pass_unknown and r.address not in reg.by_device:
-        return Skip("UnknownDevice")
+def translate(r: SensorRecord, reg: Registry) -> dict | None:
+    """MobileTrace bindings for one record, or None if no registered person
+    holds its device; location comes from the IR code for rfid readings and
+    from the reader's own location for bt readings."""
+    if r.address not in reg.by_device:
+        return None
     location = r.ir_code if r.sensor == "rfidReader" else r.reader_location
     return {"location": Symbol(location), "address": r.address, "time": r.t}
 
@@ -245,14 +248,14 @@ def replay(
     reg: Registry,
     engine: Engine,
     speed: float | str = "max",
-    pass_unknown: bool = False,
     on_cycle: Callable[[Engine], None] | None = None,
 ) -> FeedStats:
     """Feed a replay file through the engine, cohort by cohort.
 
     speed "max" never sleeps; a positive multiplier scales the recorded
-    inter-cohort gaps by 1/speed. Malformed and out-of-order lines are
-    counted and skipped; processing always continues.
+    inter-cohort gaps by 1/speed. Malformed and out-of-order lines, and
+    readings from unregistered devices, are counted and skipped; processing
+    always continues.
     """
     speed = check_speed(speed)
     stats = FeedStats()
@@ -265,8 +268,8 @@ def replay(
         if not cohort:
             return
         for rec in cohort:
-            out = translate(rec, reg, pass_unknown)
-            if isinstance(out, Skip):
+            out = translate(rec, reg)
+            if out is None:
                 stats.unknown_devices += 1
                 continue
             res = engine.assert_fact("MobileTrace", out)

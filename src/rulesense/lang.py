@@ -649,7 +649,7 @@ def _check_slots(name: str, template: str, slots: tuple, registry: TemplateRegis
     else:
         t = registry.get(template)
         for s, _ in slots:
-            if not t.has_slot(s):
+            if s not in t.slots:
                 diags.append(Diagnostic("unknown-slot", name, f"template {template} has no slot {s}"))
     for s, k in Counter(s for s, _ in slots).items():
         if k > 1:

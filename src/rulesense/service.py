@@ -115,9 +115,9 @@ class QueryService:
         self._server: ThreadingHTTPServer | None = None
         self._thread: threading.Thread | None = None
 
-    def refresh(self, engine: Engine | None = None) -> None:
+    def refresh(self) -> None:
         """Publish the current WM as the served snapshot (writer side)."""
-        snap = (engine or self.engine).snapshot()
+        snap = self.engine.snapshot()
         with self._lock:
             self._snap = snap
             self._refreshes += 1
@@ -169,7 +169,10 @@ class QueryService:
         if path.startswith("/explain/"):
             raw = path[len("/explain/") :]
             try:
-                fid = int(raw)
+                # digits only: int() alone also takes "+5", " 5" and "1_0"
+                if not (raw.isascii() and raw.isdigit()):
+                    raise ValueError
+                fid = int(raw)  # ValueError past Python's digit limit
             except ValueError:
                 return 400, {"error": f"fact id must be an integer, got {raw!r}"}
             try:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from datetime import datetime, timezone
 from importlib import resources
-from typing import Iterable
 
 from . import lang
 from .engine import Engine, WmView
@@ -25,27 +24,15 @@ def build_tracking_kb() -> str:
     return resources.files("rulesense").joinpath("kb/tracking.clp").read_text(encoding="utf-8")
 
 
-def load_engine(kb_text: str | None = None, exclude_rules: Iterable[str] = (), firelog=None) -> Engine:
-    """Engine from KB text (the shipped KB by default).
-
-    exclude_rules drops named rules before loading; used to demonstrate
-    behavior with and without the cyclic-journey cleanup. firelog is the
-    engine's fire-log sink (see Engine).
-    """
-    if kb_text is None:
-        kb_text = build_tracking_kb()
-    constructs = lang.parse_program(kb_text)
-    skip = set(exclude_rules)
-    if skip:
-        constructs = [c for c in constructs if not (isinstance(c, lang.RuleDef) and c.name in skip)]
-    return Engine(constructs, firelog)
+def load_engine(kb_text: str | None = None, firelog=None) -> Engine:
+    """Engine from KB text (the shipped KB by default); firelog is the
+    engine's fire-log sink (see Engine)."""
+    return Engine(lang.parse_program(build_tracking_kb() if kb_text is None else kb_text), firelog)
 
 
-def start_pipeline(
-    reg: Registry, kb_text: str | None = None, exclude_rules: Iterable[str] = (), firelog=None
-) -> Engine:
+def start_pipeline(reg: Registry, kb_text: str | None = None, firelog=None) -> Engine:
     """Load KB, seed registry facts, run to quiescence: ready for a feed."""
-    engine = load_engine(kb_text, exclude_rules, firelog)
+    engine = load_engine(kb_text, firelog)
     bootstrap(engine, reg)
     engine.run()
     return engine
@@ -56,14 +43,12 @@ def run_pipeline(
     replay_source,
     kb_text: str | None = None,
     speed: float | str = "max",
-    exclude_rules: Iterable[str] = (),
-    pass_unknown: bool = False,
     on_cycle=None,
     firelog=None,
 ) -> tuple[Engine, FeedStats]:
     """start_pipeline, then replay the feed to quiescence."""
-    engine = start_pipeline(reg, kb_text, exclude_rules, firelog)
-    stats = replay(replay_source, reg, engine, speed=speed, pass_unknown=pass_unknown, on_cycle=on_cycle)
+    engine = start_pipeline(reg, kb_text, firelog)
+    stats = replay(replay_source, reg, engine, speed=speed, on_cycle=on_cycle)
     return engine, stats
 
 

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from rulesense import build_tracking_kb, load_registry, parse_program
+from rulesense import build_tracking_kb, format_program, load_registry, parse_program
+from rulesense.lang import RuleDef
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -36,6 +37,12 @@ def s1_replay_lines(s1_replay_path):
 @pytest.fixture(scope="session")
 def timed_replay_path():
     return FIXTURES / "timed_replay.jsonl"
+
+
+def kb_without(*rules):
+    """The shipped KB's text without the named rules."""
+    constructs = parse_program(build_tracking_kb())
+    return format_program([c for c in constructs if not (isinstance(c, RuleDef) and c.name in rules)])
 
 
 def record_line(t, code, tag="A1B2", sensor="rfidReader", reader="R1"):

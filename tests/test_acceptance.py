@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, kb_without
 from naive import NaiveEngine, vkey
 from rulesense import lang
 from rulesense.cli import main as cli_main
@@ -56,7 +56,7 @@ def test_criterion_1_canonical_walk():
         str(f.value("endA")) == "730" and str(f.value("endB")) == "740" for f in tracked
     )
     loose, _ = run_pipeline(
-        reg, FIXTURES / "s1_replay.jsonl", exclude_rules=["drop_cyclic_journeys"]
+        reg, FIXTURES / "s1_replay.jsonl", kb_text=kb_without("drop_cyclic_journeys")
     )
     assert len(loose.facts("was-tracked")) == 3
     elapsed = time.perf_counter() - t0

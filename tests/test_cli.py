@@ -1,15 +1,17 @@
 """End-to-end coverage of the rulesense command line."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, record_line
-from rulesense.cli import main
+from conftest import FIXTURES, kb_without
+from rulesense.cli import _build_parser, main
 from rulesense.tracking import build_tracking_kb
 
 
@@ -94,6 +96,8 @@ def test_parse_prints_diagnostics_in_source_order_under_any_hash_seed(tmp_path):
         ["run", "--registry", "r", "--replay", "f", "--serve", "nocolon"],
         ["query", "--registry", "r", "--replay", "f", "--query", "q", "--arg", "noequals"],
         ["run", "--registry", "r", "--replay", "f", "--speed", "nan"],
+        ["run", "--registry", "r", "--replay", "f", "--serve", "127.0.0.1:70000"],
+        ["run", "--registry", "r", "--replay", "f", "--serve", "127.0.0.1:-1"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -139,10 +143,12 @@ def test_query_rejects_negative_correction(capsys):
     assert "delay-correction" in capsys.readouterr().err
 
 
-def test_query_exclude_rule_changes_the_answer(capsys):
+def test_query_exclude_rule_changes_the_answer(tmp_path, capsys):
+    # the shipped KB without its cycle cleanup, given through --kb
+    kb = tmp_path / "loose.clp"
+    kb.write_text(kb_without("drop_cyclic_journeys"), encoding="utf-8")
     rc = run_cli(
-        "query", *s1_args(), "--query", "find_journeys",
-        "--arg", "name=Pete", "--exclude-rule", "drop_cyclic_journeys",
+        "query", *s1_args(), "--kb", str(kb), "--query", "find_journeys", "--arg", "name=Pete",
     )
     assert rc == 0
     rows = json.loads(capsys.readouterr().out)
@@ -242,18 +248,6 @@ def test_run_is_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_run_pass_unknown_toggles_ingestion(tmp_path, capsys):
-    feed = tmp_path / "feed.jsonl"
-    feed.write_text(record_line(1000, "730", tag="ZZZZ") + "\n", encoding="utf-8")
-    base = ["run", "--registry", str(FIXTURES / "registry_s1.json"), "--replay", str(feed)]
-    assert run_cli(*base) == 0
-    stats = json.loads(capsys.readouterr().out)
-    assert stats["unknown_devices"] == 1 and stats["facts"] == 0
-    assert run_cli(*base, "--pass-unknown") == 0
-    stats = json.loads(capsys.readouterr().out)
-    assert stats["unknown_devices"] == 0 and stats["facts"] == 1
-
-
 # --- sim -----------------------------------------------------------------
 
 
@@ -277,3 +271,21 @@ def test_sim_missing_scenario(tmp_path, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+# --- docs ----------------------------------------------------------------
+
+
+def test_readme_cli_section_names_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"--[a-z][a-z-]*", section))
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        o
+        for sp in commands.choices.values()
+        for a in sp._actions
+        for o in a.option_strings
+        if o.startswith("--") and o != "--help"
+    }
+    assert documented == flags

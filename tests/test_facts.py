@@ -3,6 +3,7 @@
 import copy
 import gc
 import pickle
+import struct
 import sys
 import threading
 
@@ -22,11 +23,9 @@ from rulesense.facts import (
     TemplateRegistry,
     UnknownSlot,
     UnknownTemplate,
-    facts_equal,
     is_slot_value,
     make_fact,
     value_key,
-    values_equal,
 )
 from rulesense.ingest import load_registry, parse_record, translate
 from rulesense.lang import parse_program
@@ -128,13 +127,17 @@ def test_threads_making_one_new_name_get_one_symbol():
     assert all(len(ids) == 1 for ids in by_name.values())
 
 
+def same_value(a, b) -> bool:
+    return value_key(a) == value_key(b)
+
+
 def test_type_strict_equality():
     # the four kinds never collide, even on equal surface forms
-    assert not values_equal(Symbol("730"), "730")
-    assert not values_equal(20, 20.0)
-    assert not values_equal("20", 20)
-    assert values_equal(20.0, 20.0)
-    assert values_equal(Symbol("a"), Symbol("a"))
+    assert not same_value(Symbol("730"), "730")
+    assert not same_value(20, 20.0)
+    assert not same_value("20", 20)
+    assert same_value(20.0, 20.0)
+    assert same_value(Symbol("a"), Symbol("a"))
 
 
 def test_bool_is_not_a_slot_value():
@@ -146,25 +149,33 @@ def test_bool_is_not_a_slot_value():
 
 @given(a=slot_values, b=slot_values)
 def test_value_key_agrees_with_equality(a, b):
-    assert (value_key(a) == value_key(b)) == values_equal(a, b)
+    # equal keys exactly when the kinds match and the values do (a Float
+    # bit for bit)
+    if type(a) is not type(b):
+        want = False
+    elif type(a) is float:
+        want = struct.pack(">d", a) == struct.pack(">d", b)
+    else:
+        want = a == b
+    assert same_value(a, b) == want
 
 
 @given(v=slot_values)
 def test_value_key_reflexive(v):
-    assert values_equal(v, v)
+    assert same_value(v, v)
 
 
 @given(x=ints)
 def test_int_float_never_cross(x):
-    assert not values_equal(x, float(x))
+    assert not same_value(x, float(x))
 
 
 def test_registry_define_and_get():
     reg = TemplateRegistry()
     t = reg.define("Person", ["name", "deviceAddress"])
-    assert t.has_slot("name") and not t.has_slot("age")
+    assert t.slots == ("name", "deviceAddress")
     assert reg.get("Person") is t
-    assert "Person" in reg and len(reg) == 1
+    assert "Person" in reg and "Place" not in reg
     with pytest.raises(DuplicateTemplate):
         reg.define("Person", ["x"])
     with pytest.raises(DuplicateSlot):
@@ -191,8 +202,8 @@ def test_fact_equality_ignores_ids():
     f1 = Fact(t, (1,), id=1)
     f2 = Fact(t, (1,), id=2)
     f3 = Fact(t, (1.0,), id=1)
-    assert facts_equal(f1, f2)
-    assert not facts_equal(f1, f3)  # Integer 1 vs Float 1.0
+    assert f1.key == f2.key
+    assert f1.key != f3.key  # Integer 1 vs Float 1.0
 
 
 def test_fact_value_access():
@@ -207,8 +218,8 @@ def test_fact_value_access():
 def test_float_key_distinguishes_bit_patterns(v):
     # 0.0 and -0.0 are different slot values on purpose: the key is the bit
     # pattern, not numeric equality
-    assert values_equal(v, v)
+    assert same_value(v, v)
 
 
 def test_negative_zero_distinct():
-    assert not values_equal(0.0, -0.0)
+    assert not same_value(0.0, -0.0)

@@ -12,12 +12,12 @@ from rulesense.engine import Engine
 from rulesense.facts import Symbol
 from rulesense.ingest import (
     DUMMY_LOC,
+    MAX_T,
     DuplicateDevice,
     FeedStats,
     MalformedRecord,
     MalformedRegistry,
     Registry,
-    Skip,
     bootstrap,
     initial_facts,
     load_registry,
@@ -177,12 +177,19 @@ def test_parse_bt_record():
         {"t": 1, "sensor": "rfidReader", "reader_location": "R1", "payload": {"tag_id": "A", "ir_code": "73", "motion": True}},
         {"t": 1, "sensor": "rfidReader", "reader_location": "R1", "payload": {"tag_id": "A", "ir_code": "730", "motion": 1}},
         {"t": 1, "sensor": "btReader", "reader_location": "R1", "payload": {}},
+        {"t": MAX_T + 1, "sensor": "btReader", "reader_location": "R1", "payload": {"bt_address": "A"}},
     ],
 )
 def test_parse_record_rejections(obj):
     with pytest.raises(MalformedRecord) as ei:
         parse_record(obj, 7)
     assert "line 7" in str(ei.value)
+
+
+def test_parse_record_takes_t_up_to_the_last_renderable_instant():
+    # 9999-12-31T23:59:59.999Z; one ms later a row's HH:MM:SS would fail
+    assert MAX_T == 253_402_300_799_999
+    assert parse_record(json.loads(record_line(MAX_T, "730")), 1).t == MAX_T
 
 
 def test_translate_rfid_uses_ir_code():
@@ -200,9 +207,7 @@ def test_translate_bt_uses_reader_location():
 def test_translate_unknown_device():
     reg = load_registry(GOOD)
     r = parse_record(json.loads(record_line(1000, "730", tag="XXXX")), 1)
-    assert translate(r, reg) == Skip("UnknownDevice")
-    passed = translate(r, reg, pass_unknown=True)
-    assert passed == {"location": Symbol("730"), "address": "XXXX", "time": 1000}
+    assert translate(r, reg) is None
 
 
 # ------------------------------------------------------------
@@ -281,15 +286,6 @@ def test_replay_rejects_bad_speed(speed):
     e = fresh_engine(reg)
     with pytest.raises(ValueError):
         replay([], reg, e, speed=speed)
-
-
-def test_replay_pass_unknown_keeps_orphan_traces():
-    reg = load_registry(GOOD)
-    e = fresh_engine(reg)
-    stats = replay([record_line(1000, "730", tag="XXXX")], reg, e, pass_unknown=True)
-    assert stats == FeedStats(records=1, facts=1)
-    (m,) = e.facts("MobileTrace")
-    assert m.value("address") == "XXXX"  # no Person matches, so it stays
 
 
 @st.composite

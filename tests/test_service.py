@@ -98,6 +98,10 @@ def test_explain_endpoint_errors(served):
     _, port, _ = served
     status, body = get(port, "/explain/ten")
     assert status == 400
+    # int() would read these as facts 10 and 5; an id is digits only
+    for raw in ("1_0", "+5"):
+        status, body = get(port, f"/explain/{raw}")
+        assert status == 400 and raw in body["error"]
     status, body = get(port, "/explain/99999")
     assert status == 404
 

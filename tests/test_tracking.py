@@ -2,7 +2,8 @@
 
 import pytest
 
-from conftest import record_line
+from conftest import kb_without, record_line
+from rulesense import lang
 from rulesense.facts import Symbol
 from rulesense.tracking import (
     build_tracking_kb,
@@ -30,13 +31,8 @@ def test_load_engine_exposes_the_shipped_rules():
         "drop_cyclic_journeys",
         "sweep_stale_sightings",
     ]
-    assert sorted(e.query_names) == ["find_journeys", "location_history", "where_is"]
-
-
-def test_load_engine_can_exclude_rules():
-    e = load_engine(exclude_rules=("drop_cyclic_journeys",))
-    assert "drop_cyclic_journeys" not in e.rule_names
-    assert len(e.rule_names) == 5
+    queries = [c.name for c in lang.parse_program(build_tracking_kb()) if isinstance(c, lang.QueryDef)]
+    assert sorted(queries) == ["find_journeys", "location_history", "where_is"]
 
 
 # ------------------------------------------------------------
@@ -61,7 +57,8 @@ def test_s1_walk_yields_exactly_two_journeys(registry_s1, s1_replay_path):
 
 
 def test_s1_without_cycle_cleanup_keeps_the_containing_journey(registry_s1, s1_replay_path):
-    engine, _ = run_pipeline(registry_s1, s1_replay_path, exclude_rules=("drop_cyclic_journeys",))
+    engine, _ = run_pipeline(registry_s1, s1_replay_path, kb_text=kb_without("drop_cyclic_journeys"))
+    assert "drop_cyclic_journeys" not in engine.rule_names and len(engine.rule_names) == 5
     rows = shaped_query(engine, "find_journeys", {"name": "Pete"})
     assert len(rows) == 3
     spans = sorted(r["tFinish"] - r["tStart"] for r in rows)
@@ -124,6 +121,17 @@ def test_zero_time_traversal_is_no_journey_and_no_error(registry_s1):
     assert [e.error for e in log if e.error is not None] == []
     assert shaped_query(engine, "find_journeys", {"name": "Pete"}) == []
     assert engine.fire_counts["find_corridor_events"] == 0
+
+
+@pytest.mark.parametrize("t", [10**17, 10**20])
+def test_a_reading_past_year_9999_is_malformed_and_the_feed_goes_on(registry_s1, s1_replay_lines, t):
+    # such a t cannot be rendered as HH:MM:SS, and as the latest t seen it
+    # would make every later line out of order
+    lines = s1_replay_lines[:3] + [record_line(t, "730")] + s1_replay_lines[3:]
+    engine, stats = run_pipeline(registry_s1, lines)
+    assert (stats.malformed, stats.out_of_order, stats.facts) == (1, 0, 7)
+    (row,) = shaped_query(engine, "where_is", {"name": "Pete"})
+    assert row["location"] == "740" and row["tStart"] == T0 + 12000
 
 
 # ------------------------------------------------------------
