@@ -10,9 +10,15 @@ environment, which an RHS `bind` extends). Matching keeps one memory shape on
 both sides of every join (as in Rete/UL): a rule's `right[lvl]` holds the
 facts that match pattern `lvl`, its `left[lvl]` the partial matches of
 patterns 1..`lvl`, each under a join key read from `Fact.key`, whose values
-are the fact's own value tuple unless a slot holds a Float. A fact leaves
-the memories as it entered them (as in Forgy's Rete): a retract or modify
-walks the old version through the same joins, so no index of entries is kept.
+are the fact's own value tuple unless a slot holds a Float. No complete match
+is stored. `Engine.__init__` compiles this network once: each pattern gets an
+add and a remove closure, filed under its template, with its rule's
+memories, key readers, tests and next join step bound. A fact leaves the
+memories by the joins it entered them by (as in Forgy's Rete), so no index
+of entries is kept, and the walk stops where nothing is stored: a fact
+removed at a rule's last pattern k leaves `right[k]` only, and a partial
+match removed at level k-1 leaves `left[k-1]` only, since `run` cancels the
+activations they were part of.
 
 Every event, a firing or one external assert, modify or retract, takes the
 next fire-log seq and makes one `FireLogEntry` from the fact versions it
@@ -53,6 +59,7 @@ from typing import Iterable, Mapping
 from . import lang
 from .facts import (
     NIL,
+    SLOT_TYPES,
     Fact,
     KbError,
     SlotValue,
@@ -150,6 +157,22 @@ def _read(where: dict, name: str):
     return lambda env: env[pos].vals[i]
 
 
+def _slot_pair(e: lang.FuncCall, where: dict) -> tuple | None:
+    """(position, slot index) twice if both of `e`'s two operands are
+    variables bound to fact slots, else None."""
+    if len(e.args) != 2:
+        return None
+    out: tuple = ()
+    for a in e.args:
+        if type(a) is not lang.Var or a.name not in where:
+            return None
+        pos, i = where[a.name]
+        if type(i) is not int:
+            return None
+        out += (pos, i)
+    return out
+
+
 def _compile_value(e: lang.Expr, where: dict):
     """Close an expression into a function of an environment (`_read`): the
     engine's one evaluator, for tests, RHS actions and top-level asserts alike.
@@ -157,7 +180,8 @@ def _compile_value(e: lang.Expr, where: dict):
     Every operand is evaluated, left to right, before the operator checks
     any of them, so the first error an expression raises does not depend on
     its operator. Two-operand comparisons and eq/neq, which are nearly all
-    LHS tests, get their own closures.
+    LHS tests, get their own closures; these and arithmetic read both slots
+    in one closure when the two operands are fact-slot variables.
     """
     if type(e) is lang.Literal:
         v = e.value
@@ -175,8 +199,27 @@ def _compile_value(e: lang.Expr, where: dict):
             raise RuntimeEvalError(msg)
 
         return fail
+    slots = _slot_pair(e, where)
     if op in _ARITH:
         fn = _ARITH[op]
+        if slots:
+            pa, ia, pb, ib = slots
+
+            def arith_slots(b, pa=pa, ia=ia, pb=pb, ib=ib, fn=fn):
+                x = b[pa].vals[ia]
+                y = b[pb].vals[ib]
+                if type(x) not in (int, float):
+                    raise RuntimeEvalError(f"arithmetic on non-number {x!r}")
+                if type(y) not in (int, float):
+                    raise RuntimeEvalError(f"arithmetic on non-number {y!r}")
+                try:
+                    return fn(x, y)
+                except ZeroDivisionError:
+                    raise RuntimeEvalError("division by zero") from None
+                except OverflowError:
+                    raise RuntimeEvalError("arithmetic overflow") from None
+
+            return arith_slots
 
         def arith(b, gets=gets, fn=fn):
             args = [g(b) for g in gets]
@@ -196,6 +239,17 @@ def _compile_value(e: lang.Expr, where: dict):
         return arith
     if op in _CMP:
         cmp = _CMP[op]
+        if slots:
+            pa, ia, pb, ib = slots
+
+            def cmp_slots(b, pa=pa, ia=ia, pb=pb, ib=ib, cmp=cmp):
+                x = b[pa].vals[ia]
+                y = b[pb].vals[ib]
+                if type(x) not in (int, float) or type(y) not in (int, float):
+                    return False
+                return cmp(x, y)
+
+            return cmp_slots
         if len(gets) == 2:
             ga, gb = gets
 
@@ -217,6 +271,19 @@ def _compile_value(e: lang.Expr, where: dict):
 
         return cmpn
     want = op == "eq"
+    if slots:
+        pa, ia, pb, ib = slots
+
+        def eq_slots(b, pa=pa, ia=ia, pb=pb, ib=ib, want=want):
+            x = b[pa].vals[ia]
+            y = b[pb].vals[ib]
+            t = type(x)
+            # a fact's slots hold slot values only (make_fact, _slot_value)
+            if t is type(y) and (t is Symbol or t is int or t is str):
+                return (x == y) is want
+            return (value_key(x) == value_key(y)) is want
+
+        return eq_slots
     if len(gets) == 2:
         ga, gb = gets
 
@@ -259,7 +326,7 @@ def _tests_ok(tests: tuple, env: tuple) -> bool:
 
 
 def _slot_value(v: object) -> SlotValue:
-    if not is_slot_value(v):
+    if type(v) not in SLOT_TYPES:
         raise RuntimeEvalError(f"not a slot value: {v!r}")
     return v
 
@@ -385,6 +452,124 @@ class _CRule:
         # join memories by level (module docstring)
         self.left: list[dict] = [{} for _ in range(self.k + 1)]
         self.right: list[dict] = [{} for _ in range(self.k + 1)]
+
+
+def _compile_joins(rule: _CRule, emit) -> list[tuple[str, object, object]]:
+    """Compile `rule`'s join network once: (template, add, remove) per
+    pattern, in pattern order, with the memories, key readers, tests and
+    next step bound. `add(fact)` joins a new fact in and `emit`s each match
+    it completes; `remove(fact)` takes an old one out, and is None where the
+    fact is in no memory (the only pattern of a rule)."""
+    extend = retire = None
+    out = []
+    for lvl in range(rule.k, 0, -1):
+        extend = _extend_step(rule, lvl, emit, extend)
+        if lvl < rule.k:
+            retire = _retire_step(rule, lvl, retire)
+        out.append((rule.patterns[lvl - 1].template, *_fact_steps(rule, lvl, extend, retire)))
+    return out[::-1]
+
+
+def _extend_step(rule: _CRule, lvl: int, emit, nxt):
+    """The step a new match of patterns 1..`lvl` takes: run level `lvl`'s
+    tests, then `emit` it as an activation if it is complete, else store it
+    in `left[lvl]` and pass each join with `right[lvl + 1]` to `nxt`. Join
+    order does not matter: _flush_pending orders the activations."""
+    tests, index = rule.tests[lvl], rule.index
+    last = lvl == rule.k
+    mem = ones_by_key = lkey = None
+    if not last:
+        mem, ones_by_key, lkey = rule.left[lvl], rule.right[lvl + 1], rule.patterns[lvl].lkey
+
+    def extend(facts: tuple) -> None:
+        if tests:
+            # an eval error inside an LHS test filters the match
+            try:
+                for t in tests:
+                    if t(facts) is not True:
+                        return
+            except RuntimeEvalError:
+                return
+        if last:
+            emit((index, tuple([f.id for f in facts]), facts))
+            return
+        key = lkey(facts)
+        bucket = mem.get(key)
+        if bucket is None:
+            mem[key] = {facts: None}
+        else:
+            bucket[facts] = None
+        ones = ones_by_key.get(key)
+        if ones:
+            for one in ones:
+                nxt(facts + one)
+
+    return extend
+
+
+def _retire_step(rule: _CRule, lvl: int, nxt):
+    """The step a going match of patterns 1..`lvl` (`lvl` < k) takes: out of
+    `left[lvl]`, then each join with `right[lvl + 1]` to `nxt`, the next
+    level's step, which is None at level k - 1, as no complete match is
+    stored. A match not in `left[lvl]` never passed its tests, so nothing
+    was built on it."""
+    mem, ones_by_key, lkey = rule.left[lvl], rule.right[lvl + 1], rule.patterns[lvl].lkey
+
+    def retire(facts: tuple) -> None:
+        key = lkey(facts)
+        if _drop(mem, key, facts) and nxt is not None:
+            ones = ones_by_key.get(key)
+            if ones:
+                for one in ones:
+                    nxt(facts + one)
+
+    return retire
+
+
+def _fact_steps(rule: _CRule, lvl: int, extend, retire) -> tuple:
+    """(add, remove) for a fact version at pattern `lvl`. Past the alpha
+    check a first-level fact is a match of its own; a later one is stored
+    in `right[lvl]` and joined with the partial matches in `left[lvl - 1]`
+    under its key. A fact removed at the last pattern leaves `right[k]`
+    only: `run` cancels the activations it was part of."""
+    pat = rule.patterns[lvl - 1]
+    ok = pat.ok
+    if lvl == 1:
+
+        def add_first(fact: Fact) -> None:
+            if ok is None or ok(fact.key[1]):
+                extend((fact,))
+
+        return add_first, None if retire is None else lambda fact: retire((fact,))
+    rkey, mem, partials_by_key = pat.rkey, rule.right[lvl], rule.left[lvl - 1]
+
+    def add(fact: Fact) -> None:
+        fk = fact.key[1]
+        if ok is not None and not ok(fk):
+            return
+        key = rkey(fk)
+        one = (fact,)
+        bucket = mem.get(key)
+        if bucket is None:
+            mem[key] = {one: None}
+        else:
+            bucket[one] = None
+        partials = partials_by_key.get(key)
+        if partials:
+            for p in partials:
+                extend(p + one)
+
+    def remove(fact: Fact) -> None:
+        # a fact that failed the alpha check is in no bucket
+        key = rkey(fact.key[1])
+        one = (fact,)
+        if _drop(mem, key, one) and retire is not None:
+            partials = partials_by_key.get(key)
+            if partials:
+                for p in partials:
+                    retire(p + one)
+
+    return add, remove
 
 
 class _CQuery:
@@ -567,11 +752,22 @@ class Engine:
             else:
                 staged.extend(c.facts)
 
-        # pattern subscriptions: template name -> [(rule, level)]
-        self._subs: dict[str, list[tuple[_CRule, int]]] = {}
+        # agenda, and the activations the mutation in progress has made
+        self._agenda: list = []
+        self._act_seq = 0
+        self._pending: list = []
+
+        # the join network, compiled once: template name -> the add and the
+        # remove steps of every pattern of that template, in rule order
+        adds: dict[str, list] = {}
+        removes: dict[str, list] = {}
         for cr in self._rules:
-            for lvl, pat in enumerate(cr.patterns, start=1):
-                self._subs.setdefault(pat.template, []).append((cr, lvl))
+            for template, add, remove in _compile_joins(cr, self._pending.append):
+                adds.setdefault(template, []).append(add)
+                if remove is not None:
+                    removes.setdefault(template, []).append(remove)
+        self._adds = {t: tuple(fs) for t, fs in adds.items()}
+        self._removes = {t: tuple(fs) for t, fs in removes.items()}
 
         # working memory
         self._wm: dict[int, Fact] = {}
@@ -586,11 +782,6 @@ class Engine:
         self._changes: dict[int, Fact | None] = {}
         self._view_next_id = 1
         self._delta_entries = 0
-
-        # agenda
-        self._agenda: list = []
-        self._act_seq = 0
-        self._pending: list = []
 
         # fire log: the sink (iterable with len() when there is none), the
         # next entry's seq, and fires per rule
@@ -845,7 +1036,8 @@ class Engine:
         old = wm.get(fid)
         if old is not None:
             del self._dup[old.key]
-            self._propagate(old, add=False)
+            for remove in self._removes.get(old.template.name, ()):
+                remove(old)
         self._tick += 1
         if new is None:
             del wm[fid]
@@ -860,70 +1052,20 @@ class Engine:
         wm[fid] = new
         self._dup[new.key] = fid
         self._changes[fid] = new
-        self._pending = []
-        self._propagate(new)
-        self._flush_pending()
-
-    # ----- incremental matching -----
-
-    def _propagate(self, fact: Fact, add: bool = True) -> None:
-        """Join a new fact into the memories of every pattern it matches; with
-        `add` False, take an old one out by walking the same joins."""
-        subs = self._subs.get(fact.template.name)
-        if not subs:
-            return
-        one = (fact,)
-        fk = fact.key[1]
-        for rule, lvl in subs:
-            pat = rule.patterns[lvl - 1]
-            if pat.ok is not None and not pat.ok(fk):
-                continue
-            if lvl == 1:
-                self._extend(rule, 1, one, add)
-                continue
-            key = pat.rkey(fk)
-            if add:
-                rule.right[lvl].setdefault(key, {})[one] = None
-            else:
-                _drop(rule.right[lvl], key, one)
-            partials = rule.left[lvl - 1].get(key)
-            if partials:
-                for p in partials:
-                    self._extend(rule, lvl, p + one, add)
-
-    def _extend(self, rule: _CRule, lvl: int, facts: tuple, add: bool = True) -> None:
-        """Run level `lvl`'s tests on a match of patterns 1..`lvl`; queue it as
-        an activation if it is complete, else store it in `left[lvl]` and join
-        it with `right[lvl + 1]`. Join order does not matter: _flush_pending
-        orders the activations. With `add` False, take the match and every one
-        built on it out of the memories instead: one not in `left[lvl]` never
-        passed its tests, and a complete one needs nothing, as `run` cancels
-        its activation once a fact it matched is gone."""
-        if add and not _tests_ok(rule.tests[lvl], facts):
-            return
-        if lvl == rule.k:
-            if add:
-                self._pending.append((rule.index, tuple([f.id for f in facts]), facts))
-            return
-        key = rule.patterns[lvl].lkey(facts)
-        if add:
-            rule.left[lvl].setdefault(key, {})[facts] = None
-        elif not _drop(rule.left[lvl], key, facts):
-            return
-        right = rule.right[lvl + 1].get(key)
-        if right:
-            for one in right:
-                self._extend(rule, lvl + 1, facts + one, add)
+        for add in self._adds.get(new.template.name, ()):
+            add(new)
+        if self._pending:
+            self._flush_pending()
 
     def _flush_pending(self) -> None:
         pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        pending.sort(key=lambda p: (p[0], p[1]))
+        if len(pending) > 1:
+            pending.sort(key=lambda p: (p[0], p[1]))
         for ri, ids, facts in pending:
             self._act_seq += 1
-            heappush(self._agenda, (-self._rules[ri].salience, -max(ids, default=0), -self._act_seq, ri, ids, facts))
+            # max() with a default keyword costs more than the rest of the push
+            heappush(self._agenda, (-self._rules[ri].salience, -max(ids) if ids else 0, -self._act_seq, ri, ids, facts))
+        pending.clear()
 
 
 def _drop(mem: dict, key, entry: tuple) -> bool:

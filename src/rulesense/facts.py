@@ -123,8 +123,11 @@ def value_key(v: SlotValue) -> SlotValue | tuple:
     raise TypeError(f"not a slot value: {v!r}")
 
 
+SLOT_TYPES = (Symbol, str, int, float)
+
+
 def is_slot_value(v: object) -> bool:
-    return type(v) in (Symbol, str, int, float)
+    return type(v) in SLOT_TYPES
 
 
 @dataclass(frozen=True, slots=True)

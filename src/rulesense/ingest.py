@@ -3,13 +3,14 @@
 The boundary between recorded sensor feeds and the engine: registry JSON
 becomes Person/Corridor facts plus one bootstrap is-currently-at per person,
 and replay files (JSON Lines, sorted by t) are translated record by record
-into MobileTrace facts. A reading from a device no registered person holds
-is counted as an unknown device and never asserted: no rule could consume
-it, so it would only grow working memory. All records sharing a timestamp
-form one cohort: they are asserted in file order, then the engine runs once,
-so an exact duplicate within a millisecond is counted as a duplicate. Their
-order can still change the outcome, since the rules see the facts in assert
-order.
+into MobileTrace facts. A feed file is decoded line by line, so a line that
+is not UTF-8 counts as malformed like any other and spoils no other line.
+A reading from a device no registered person holds is counted as an unknown
+device and never asserted: no rule could consume it, so it would only grow
+working memory. All records sharing a timestamp form one cohort: they are
+asserted in file order, then the engine runs once, so an exact duplicate
+within a millisecond is counted as a duplicate. Their order can still change
+the outcome, since the rules see the facts in assert order.
 """
 
 from __future__ import annotations
@@ -221,10 +222,17 @@ class FeedStats:
         return self.records == self.facts + self.duplicates + self.unknown_devices + self.out_of_order + self.malformed
 
 
-def _lines(source: str | Path | Iterable[str]) -> Iterable[str]:
+def _lines(source: str | Path | Iterable[str]) -> Iterable[str | bytes]:
+    """A feed's lines: a path is read as bytes, which `replay` decodes one
+    line at a time, so a byte that is not UTF-8 spoils only its own line.
+    A line ends at LF, CR LF or a lone CR, as in a file read as text."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from fh
+        with open(source, "rb") as fh:
+            for raw in fh:
+                if b"\r" in raw:
+                    yield from raw.splitlines(keepends=True)
+                else:
+                    yield raw
     else:
         yield from source
 
@@ -253,9 +261,9 @@ def replay(
     """Feed a replay file through the engine, cohort by cohort.
 
     speed "max" never sleeps; a positive multiplier scales the recorded
-    inter-cohort gaps by 1/speed. Malformed and out-of-order lines, and
-    readings from unregistered devices, are counted and skipped; processing
-    always continues.
+    inter-cohort gaps by 1/speed. Malformed lines (a line that is not UTF-8
+    among them) and out-of-order lines, and readings from unregistered
+    devices, are counted and skipped; processing always continues.
     """
     speed = check_speed(speed)
     stats = FeedStats()
@@ -287,9 +295,9 @@ def replay(
             continue
         stats.records += 1
         try:
-            rec = parse_record(json.loads(raw), lineno)
+            rec = parse_record(json.loads(raw.decode("utf-8") if type(raw) is bytes else raw), lineno)
         # RecursionError: a line nested deeper than the decoder goes
-        except (json.JSONDecodeError, RecursionError, MalformedRecord):
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, MalformedRecord):
             stats.malformed += 1
             continue
         if last_t is not None and rec.t < last_t:

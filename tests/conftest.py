@@ -51,3 +51,11 @@ def record_line(t, code, tag="A1B2", sensor="rfidReader", reader="R1"):
     else:
         payload = {"bt_address": tag}
     return json.dumps({"t": t, "sensor": sensor, "reader_location": reader, "payload": payload})
+
+
+def undecodable_feed(path):
+    """Write a feed to `path` and return it: 730 at t=1000, a line with a
+    byte that is not UTF-8 inside its reader_location, then 740 at t=3000."""
+    lines = [record_line(1000, "730"), record_line(2000, "730", reader="R?1"), record_line(3000, "740")]
+    path.write_bytes("\n".join(lines).encode("utf-8").replace(b"R?1", b"R\xff1") + b"\n")
+    return path

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, kb_without
+from conftest import FIXTURES, kb_without, undecodable_feed
 from rulesense.cli import _build_parser, main
 from rulesense.tracking import build_tracking_kb
 
@@ -197,6 +197,13 @@ def test_run_emits_stats_and_firelog(tmp_path, capsys):
     )
     lines = log.read_text(encoding="utf-8").splitlines()
     assert lines and all(json.loads(ln) for ln in lines)
+
+
+def test_run_counts_a_line_that_is_not_utf8_as_malformed(tmp_path, capsys):
+    feed = undecodable_feed(tmp_path / "feed.jsonl")
+    assert run_cli("run", "--registry", str(FIXTURES / "registry_s1.json"), "--replay", str(feed)) == 0
+    stats = json.loads(capsys.readouterr().out)
+    assert (stats["records"], stats["facts"], stats["malformed"]) == (3, 2, 1)
 
 
 def test_run_streams_the_golden_firelog(tmp_path, capsys):

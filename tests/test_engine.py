@@ -1,11 +1,16 @@
 """Engine semantics: evaluation, matching, agenda order, logging, queries."""
 
+import functools
 import gc
 import io
 import itertools
+import statistics
+import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rulesense.engine import (
     DuplicateRuleName,
@@ -27,7 +32,7 @@ from rulesense.engine import (
     wm_to_canonical_json,
 )
 from rulesense.facts import Symbol, UnknownSlot, UnknownTemplate, value_key
-from rulesense.lang import FuncCall, Literal, Var, parse_program
+from rulesense.lang import FuncCall, Literal, RuleDef, Var, parse_program
 
 
 def eng(text):
@@ -104,6 +109,60 @@ def test_eq_rejects_non_slot_values():
 def test_unbound_variable_raises():
     with pytest.raises(RuntimeEvalError):
         eval_expr(Var("missing"), {})
+
+
+# A test on two fact slots compiles to a closure that reads them itself; it
+# must agree with eval_expr of the same expression over plain bindings.
+SLOT_TESTS = [f"({op} ?a ?b)" for op in ("<", ">", "<=", ">=", "eq", "neq")] + [
+    f"({op} ({ar} ?a ?b) ?c)" for ar in ("-", "/") for op in ("<", ">", "<=", ">=", "eq", "neq")
+]
+# a value of every kind, with a zero of each number kind for the divisions
+KIND_SAMPLES = [Symbol("a"), "a", 2, 0, 2.5, 0.0]
+ANY_VALUE = st.one_of(
+    st.sampled_from([Symbol("a"), Symbol("730"), Symbol("nil")]),
+    st.text(max_size=3),
+    st.integers(-(10**6), 10**6) | st.sampled_from([0, 10**400]),
+    st.floats() | st.sampled_from([0.0, -0.0]),
+)
+
+
+@functools.cache
+def _slot_test_engine(test: str) -> tuple:
+    kb = f"""
+        (deftemplate X (slot a) (slot c))
+        (deftemplate Y (slot b))
+        (defrule r (X (a ?a) (c ?c)) (Y (b ?b)) (test {test}) => )
+        """
+    constructs = parse_program(kb)
+    (rule,) = [c for c in constructs if isinstance(c, RuleDef)]
+    return Engine(constructs), rule.lhs[-1].expr
+
+
+def _slot_test_agrees(test: str, a, b, c) -> None:
+    e, expr = _slot_test_engine(test)
+    try:
+        want = eval_expr(expr, {"a": a, "b": b, "c": c}) is True
+    except RuntimeEvalError:
+        want = False
+    x = e.assert_fact("X", {"a": a, "c": c}).fact_id
+    y = e.assert_fact("Y", {"b": b}).fact_id
+    fired = e.run()
+    e.retract_fact(x)
+    e.retract_fact(y)
+    assert fired == int(want), (test, a, b, c)
+
+
+@pytest.mark.parametrize("test", SLOT_TESTS)
+def test_slot_tests_agree_with_eval_expr_on_every_kind_pair(test):
+    for a, b in itertools.product(KIND_SAMPLES, repeat=2):
+        for c in KIND_SAMPLES if "?c" in test else [0]:
+            _slot_test_agrees(test, a, b, c)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(test=st.sampled_from(SLOT_TESTS), a=ANY_VALUE, b=ANY_VALUE, c=ANY_VALUE)
+def test_slot_tests_agree_with_eval_expr(test, a, b, c):
+    _slot_test_agrees(test, a, b, c)
 
 
 # ------------------------------------------------------------
@@ -411,6 +470,53 @@ def test_partner_churn_keeps_join_memory_flat(churn):
         tracemalloc.stop()
     grown = retained[20_000] - retained[10_000]
     assert grown < 64 * 1024, f"retained memory grew {grown} bytes from 10k to 20k cycles"
+
+
+# A retracted `Go` joins `n` facts under its key: the `A` facts of the
+# partial matches before it (the last of 2 patterns), or the `C` facts after
+# it (the second of 3). Every test fails, so no activation piles up.
+RETRACT_CASES = {
+    "last of 2": (
+        "A",
+        """
+        (deftemplate A (slot k) (slot v))
+        (deftemplate Go (slot k) (slot n))
+        (defrule r (A (k ?k) (v ?v)) (Go (k ?k) (n ?n)) (test (< ?v ?n)) => )
+        """,
+    ),
+    "second of 3": (
+        "C",
+        """
+        (deftemplate A (slot k))
+        (deftemplate Go (slot k) (slot n))
+        (deftemplate C (slot k) (slot v))
+        (defrule r (A (k ?k)) (Go (k ?k) (n ?n)) (C (k ?k) (v ?v)) (test (< ?v ?n)) => )
+        (assert (A (k 1)))
+        """,
+    ),
+}
+
+
+def _median_retract_s(many: str, kb: str, n: int) -> float:
+    e = Engine(parse_program(kb))
+    for v in range(n):
+        e.assert_fact(many, {"k": 1, "v": v})
+    times = []
+    for _ in range(21):
+        fid = e.assert_fact("Go", {"k": 1, "n": -1}).fact_id
+        t0 = time.perf_counter()
+        e.retract_fact(fid)
+        times.append(time.perf_counter() - t0)
+    assert e.run() == 0
+    return statistics.median(times)
+
+
+@pytest.mark.parametrize("many, kb", RETRACT_CASES.values(), ids=RETRACT_CASES.keys())
+def test_retract_time_does_not_grow_with_the_matches_under_its_key(many, kb):
+    """A fact taken out at a level past which nothing is stored costs the
+    same whatever it joined with (aim 1: cost per record flat in WM size)."""
+    few, lots = _median_retract_s(many, kb, 10), _median_retract_s(many, kb, 20_000)
+    assert lots < 50 * few, f"median retract {lots * 1e6:.1f} us at 20k matches, {few * 1e6:.1f} us at 10"
 
 
 KINDS = """

@@ -259,6 +259,14 @@ def test_replay_from_path_matches_canonical_counts(registry_s1, s1_replay_path):
     assert stats.consistent()
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_replay_from_path_ends_lines_as_text_files_do(registry_s1, s1_replay_path, tmp_path, newline):
+    feed = tmp_path / "feed.jsonl"
+    feed.write_bytes(newline.join(s1_replay_path.read_bytes().splitlines()) + newline)
+    stats = replay(feed, registry_s1, fresh_engine(registry_s1))
+    assert stats == FeedStats(records=7, facts=7)
+
+
 def test_replay_speed_scales_recorded_gaps(monkeypatch):
     naps = []
     monkeypatch.setattr(time, "sleep", lambda s: naps.append(s))

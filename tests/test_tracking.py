@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import kb_without, record_line
+from conftest import kb_without, record_line, undecodable_feed
 from rulesense import lang
 from rulesense.facts import Symbol
 from rulesense.tracking import (
@@ -132,6 +132,14 @@ def test_a_reading_past_year_9999_is_malformed_and_the_feed_goes_on(registry_s1,
     assert (stats.malformed, stats.out_of_order, stats.facts) == (1, 0, 7)
     (row,) = shaped_query(engine, "where_is", {"name": "Pete"})
     assert row["location"] == "740" and row["tStart"] == T0 + 12000
+
+
+def test_a_line_that_is_not_utf8_is_malformed_and_spoils_no_other(registry_s1, tmp_path):
+    # the lines around it decode, even those read in the same chunk as it
+    engine, stats = run_pipeline(registry_s1, undecodable_feed(tmp_path / "feed.jsonl"))
+    assert (stats.records, stats.facts, stats.malformed) == (3, 2, 1)
+    (row,) = shaped_query(engine, "where_is", {"name": "Pete"})
+    assert row["location"] == "740" and row["tStart"] == 3000
 
 
 # ------------------------------------------------------------
