@@ -157,20 +157,15 @@ def _read(where: dict, name: str):
     return lambda env: env[pos].vals[i]
 
 
-def _slot_pair(e: lang.FuncCall, where: dict) -> tuple | None:
-    """(position, slot index) twice if both of `e`'s two operands are
-    variables bound to fact slots, else None."""
-    if len(e.args) != 2:
-        return None
-    out: tuple = ()
-    for a in e.args:
-        if type(a) is not lang.Var or a.name not in where:
-            return None
+def _operand(a: lang.Expr, where: dict) -> tuple:
+    """How a two-operand operator reads operand `a`: (position, slot index)
+    if `a` is a variable bound to a fact slot, which the operator's closure
+    reads in place, else (compiled value, None)."""
+    if type(a) is lang.Var and a.name in where:
         pos, i = where[a.name]
-        if type(i) is not int:
-            return None
-        out += (pos, i)
-    return out
+        if type(i) is int:
+            return pos, i
+    return _compile_value(a, where), None
 
 
 def _compile_value(e: lang.Expr, where: dict):
@@ -179,9 +174,10 @@ def _compile_value(e: lang.Expr, where: dict):
 
     Every operand is evaluated, left to right, before the operator checks
     any of them, so the first error an expression raises does not depend on
-    its operator. Two-operand comparisons and eq/neq, which are nearly all
-    LHS tests, get their own closures; these and arithmetic read both slots
-    in one closure when the two operands are fact-slot variables.
+    its operator. Arithmetic, comparisons and eq/neq on two operands, which
+    are nearly all LHS tests, compile to one closure each, whatever the
+    operands are: it reads an operand bound to a fact slot itself and calls
+    the compiled value of any other.
     """
     if type(e) is lang.Literal:
         v = e.value
@@ -189,25 +185,14 @@ def _compile_value(e: lang.Expr, where: dict):
     if type(e) is lang.Var:
         return _read(where, e.name)
     op = e.op
-    gets = tuple(_compile_value(a, where) for a in e.args)
-    if len(gets) < 2 or (op not in _ARITH and op not in _CMP and op not in ("eq", "neq")):
-        msg = f"{op} needs at least 2 arguments" if op in lang.OPS else f"unknown operator {op}"
+    known = op in _ARITH or op in _CMP or op in ("eq", "neq")
+    if known and len(e.args) == 2:
+        (ga, ia), (gb, ib) = _operand(e.args[0], where), _operand(e.args[1], where)
+        if op in _ARITH:
 
-        def fail(b, gets=gets, msg=msg):
-            for g in gets:
-                g(b)
-            raise RuntimeEvalError(msg)
-
-        return fail
-    slots = _slot_pair(e, where)
-    if op in _ARITH:
-        fn = _ARITH[op]
-        if slots:
-            pa, ia, pb, ib = slots
-
-            def arith_slots(b, pa=pa, ia=ia, pb=pb, ib=ib, fn=fn):
-                x = b[pa].vals[ia]
-                y = b[pb].vals[ib]
+            def arith2(b, ga=ga, ia=ia, gb=gb, ib=ib, fn=_ARITH[op]):
+                x = ga(b) if ia is None else b[ga].vals[ia]
+                y = gb(b) if ib is None else b[gb].vals[ib]
                 if type(x) not in (int, float):
                     raise RuntimeEvalError(f"arithmetic on non-number {x!r}")
                 if type(y) not in (int, float):
@@ -219,9 +204,45 @@ def _compile_value(e: lang.Expr, where: dict):
                 except OverflowError:
                     raise RuntimeEvalError("arithmetic overflow") from None
 
-            return arith_slots
+            return arith2
+        if op in _CMP:
 
-        def arith(b, gets=gets, fn=fn):
+            def cmp2(b, ga=ga, ia=ia, gb=gb, ib=ib, cmp=_CMP[op]):
+                x = ga(b) if ia is None else b[ga].vals[ia]
+                y = gb(b) if ib is None else b[gb].vals[ib]
+                if type(x) not in (int, float) or type(y) not in (int, float):
+                    return False
+                return cmp(x, y)
+
+            return cmp2
+
+        def eq2(b, ga=ga, ia=ia, gb=gb, ib=ib, want=op == "eq", op=op):
+            x = ga(b) if ia is None else b[ga].vals[ia]
+            y = gb(b) if ib is None else b[gb].vals[ib]
+            t = type(x)
+            # values of one of these kinds are their own keys (value_key)
+            if t is type(y) and (t is Symbol or t is int or t is str):
+                return (x == y) is want
+            # a slot operand passes: a fact's slots hold slot values only
+            for a in (x, y):
+                if not is_slot_value(a):
+                    raise RuntimeEvalError(f"{op} on non-slot-value {a!r}")
+            return (value_key(x) == value_key(y)) is want
+
+        return eq2
+    gets = tuple(_compile_value(a, where) for a in e.args)
+    if not known or len(gets) < 2:
+        msg = f"{op} needs at least 2 arguments" if op in lang.OPS else f"unknown operator {op}"
+
+        def fail(b, gets=gets, msg=msg):
+            for g in gets:
+                g(b)
+            raise RuntimeEvalError(msg)
+
+        return fail
+    if op in _ARITH:
+
+        def arith(b, gets=gets, fn=_ARITH[op]):
             args = [g(b) for g in gets]
             for a in args:
                 if type(a) not in (int, float):
@@ -238,31 +259,8 @@ def _compile_value(e: lang.Expr, where: dict):
 
         return arith
     if op in _CMP:
-        cmp = _CMP[op]
-        if slots:
-            pa, ia, pb, ib = slots
 
-            def cmp_slots(b, pa=pa, ia=ia, pb=pb, ib=ib, cmp=cmp):
-                x = b[pa].vals[ia]
-                y = b[pb].vals[ib]
-                if type(x) not in (int, float) or type(y) not in (int, float):
-                    return False
-                return cmp(x, y)
-
-            return cmp_slots
-        if len(gets) == 2:
-            ga, gb = gets
-
-            def cmp2(b, ga=ga, gb=gb, cmp=cmp):
-                x = ga(b)
-                y = gb(b)
-                if type(x) not in (int, float) or type(y) not in (int, float):
-                    return False
-                return cmp(x, y)
-
-            return cmp2
-
-        def cmpn(b, gets=gets, cmp=cmp):
+        def cmpn(b, gets=gets, cmp=_CMP[op]):
             args = [g(b) for g in gets]
             for a in args:
                 if type(a) not in (int, float):
@@ -270,38 +268,8 @@ def _compile_value(e: lang.Expr, where: dict):
             return all(cmp(x, y) for x, y in zip(args, args[1:]))
 
         return cmpn
-    want = op == "eq"
-    if slots:
-        pa, ia, pb, ib = slots
 
-        def eq_slots(b, pa=pa, ia=ia, pb=pb, ib=ib, want=want):
-            x = b[pa].vals[ia]
-            y = b[pb].vals[ib]
-            t = type(x)
-            # a fact's slots hold slot values only (make_fact, _slot_value)
-            if t is type(y) and (t is Symbol or t is int or t is str):
-                return (x == y) is want
-            return (value_key(x) == value_key(y)) is want
-
-        return eq_slots
-    if len(gets) == 2:
-        ga, gb = gets
-
-        def eq2(b, ga=ga, gb=gb, want=want, op=op):
-            x = ga(b)
-            y = gb(b)
-            t = type(x)
-            # values of one of these kinds are their own keys (value_key)
-            if t is type(y) and (t is Symbol or t is int or t is str):
-                return (x == y) is want
-            for a in (x, y):
-                if not is_slot_value(a):
-                    raise RuntimeEvalError(f"{op} on non-slot-value {a!r}")
-            return (value_key(x) == value_key(y)) is want
-
-        return eq2
-
-    def eqn(b, gets=gets, want=want, op=op):
+    def eqn(b, gets=gets, want=op == "eq", op=op):
         keys = []
         for a in [g(b) for g in gets]:
             if not is_slot_value(a):

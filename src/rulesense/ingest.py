@@ -258,40 +258,23 @@ def replay(
     speed: float | str = "max",
     on_cycle: Callable[[Engine], None] | None = None,
 ) -> FeedStats:
-    """Feed a replay file through the engine, cohort by cohort.
+    """Feed a replay file through the engine, cohort by cohort (the records
+    of one millisecond): each record is asserted as it is read, and the
+    engine runs, then `on_cycle` is called, when the time advances and once
+    at the end.
 
     speed "max" never sleeps; a positive multiplier scales the recorded
-    inter-cohort gaps by 1/speed. Malformed lines (a line that is not UTF-8
-    among them) and out-of-order lines, and readings from unregistered
-    devices, are counted and skipped; processing always continues.
+    inter-cohort gaps by 1/speed. A line holding only JSON whitespace (space,
+    tab, CR, LF) is skipped as blank. Malformed lines (a line that is not
+    UTF-8 or holds other whitespace only among them) and out-of-order lines,
+    and readings from unregistered devices, are counted and skipped;
+    processing always continues.
     """
     speed = check_speed(speed)
     stats = FeedStats()
     last_t: int | None = None
-    cohort: list[SensorRecord] = []
-    cohort_t: int | None = None
-
-    def flush() -> None:
-        nonlocal cohort
-        if not cohort:
-            return
-        for rec in cohort:
-            out = translate(rec, reg)
-            if out is None:
-                stats.unknown_devices += 1
-                continue
-            res = engine.assert_fact("MobileTrace", out)
-            if res.created:
-                stats.facts += 1
-            else:
-                stats.duplicates += 1
-        cohort = []
-        engine.run()
-        if on_cycle is not None:
-            on_cycle(engine)
-
     for lineno, raw in enumerate(_lines(source), start=1):
-        if not raw.strip():
+        if not raw.strip(b" \t\r\n" if type(raw) is bytes else " \t\r\n"):
             continue
         stats.records += 1
         try:
@@ -300,15 +283,26 @@ def replay(
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError, MalformedRecord):
             stats.malformed += 1
             continue
-        if last_t is not None and rec.t < last_t:
-            stats.out_of_order += 1
-            continue
-        if cohort_t is not None and rec.t != cohort_t:
-            flush()
-            if speed != "max":
-                time.sleep((rec.t - cohort_t) / 1000.0 / speed)
-        cohort_t = rec.t
+        if last_t is not None:
+            if rec.t < last_t:
+                stats.out_of_order += 1
+                continue
+            if rec.t > last_t:
+                engine.run()
+                if on_cycle is not None:
+                    on_cycle(engine)
+                if speed != "max":
+                    time.sleep((rec.t - last_t) / 1000.0 / speed)
         last_t = rec.t
-        cohort.append(rec)
-    flush()
+        out = translate(rec, reg)
+        if out is None:
+            stats.unknown_devices += 1
+        elif engine.assert_fact("MobileTrace", out).created:
+            stats.facts += 1
+        else:
+            stats.duplicates += 1
+    if last_t is not None:
+        engine.run()
+        if on_cycle is not None:
+            on_cycle(engine)
     return stats

@@ -1,9 +1,11 @@
 """End-to-end coverage of the rulesense command line."""
 
 import argparse
+import http.client
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,14 @@ from rulesense.tracking import build_tracking_kb
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def child_env() -> dict:
+    """The environment for a child interpreter that imports this checkout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 # --- parse ---------------------------------------------------------------
@@ -62,9 +72,7 @@ def test_parse_prints_diagnostics_in_source_order_under_any_hash_seed(tmp_path):
     kb = tmp_path / "unbound.clp"
     kb.write_text("(deftemplate T (slot a))\n(defrule r (T) (test (< ?aa ?bb ?cc ?dd)) => )\n", encoding="utf-8")
     # the hash seed is fixed when an interpreter starts, so each seed needs its own child
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = child_env()
     outputs = set()
     for seed in range(5):
         proc = subprocess.run(
@@ -98,6 +106,7 @@ def test_parse_prints_diagnostics_in_source_order_under_any_hash_seed(tmp_path):
         ["run", "--registry", "r", "--replay", "f", "--speed", "nan"],
         ["run", "--registry", "r", "--replay", "f", "--serve", "127.0.0.1:70000"],
         ["run", "--registry", "r", "--replay", "f", "--serve", "127.0.0.1:-1"],
+        ["run", "--registry", "r", "--replay", "f", "--serve", "127.0.0.1:abc"],
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -226,9 +235,7 @@ def test_run_firelog_is_identical_under_any_hash_seed(tmp_path):
     # Symbols hash by identity, and str hashes change with the seed: neither
     # may reach the log. The seed is fixed when an interpreter starts, so
     # each seed needs its own child.
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env = child_env()
     logs = []
     for seed in ("0", "1", "4242"):
         log = tmp_path / f"fires-{seed}.jsonl"
@@ -243,6 +250,39 @@ def test_run_firelog_is_identical_under_any_hash_seed(tmp_path):
         logs.append(log.read_bytes())
     assert logs[0] != b""
     assert logs == [logs[0]] * 3
+
+
+def test_run_serves_the_replayed_feed_until_interrupted(capsys):
+    assert run_cli("query", *s1_args(), "--query", "where_is", "--arg", "name=Pete") == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert rows
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rulesense.cli", "run", *s1_args(), "--serve", "127.0.0.1:0"],
+        env={**child_env(), "PYTHONUNBUFFERED": "1"},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        served = re.fullmatch(r"serving on http://127\.0\.0\.1:(\d+)\n", proc.stderr.readline())
+        assert served
+        # the stats line comes once the replay is done and published
+        assert json.loads(proc.stdout.readline())["records"] == 7
+        conn = http.client.HTTPConnection("127.0.0.1", int(served[1]), timeout=30)
+        try:
+            conn.request("GET", "/queries/where_is?name=Pete")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert json.loads(resp.read())["results"] == rows
+        finally:
+            conn.close()
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=30) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def test_run_is_deterministic(tmp_path, capsys):

@@ -111,11 +111,21 @@ def test_unbound_variable_raises():
         eval_expr(Var("missing"), {})
 
 
-# A test on two fact slots compiles to a closure that reads them itself; it
-# must agree with eval_expr of the same expression over plain bindings.
-SLOT_TESTS = [f"({op} ?a ?b)" for op in ("<", ">", "<=", ">=", "eq", "neq")] + [
-    f"({op} ({ar} ?a ?b) ?c)" for ar in ("-", "/") for op in ("<", ">", "<=", ">=", "eq", "neq")
-]
+# A two-operand arithmetic, comparison or eq/neq compiles to one closure that
+# reads an operand bound to a fact slot itself and calls the compiled value
+# of any other; with three operands it takes the n-ary path. Each shape must
+# agree with eval_expr of the same expression over plain bindings: two slots,
+# a slot and a literal either way round, a slot and a nested call, two nested
+# calls, and three slots.
+_OPS = ("<", ">", "<=", ">=", "eq", "neq")
+SLOT_TESTS = (
+    [f"({op} ?a ?b)" for op in _OPS]
+    + [f"({op} ({ar} ?a ?b) ?c)" for ar in ("-", "/") for op in _OPS]
+    + ["(< ?a 2)", "(eq 2.5 ?b)"]
+    + [f"({op} ?c (- ?a (+ ?b 1)))" for op in _OPS]
+    + [f"({op} (* ?a 2) (/ ?b ?c))" for op in ("<", "eq")]
+    + ["(< ?a ?b ?c)", "(eq ?a ?b ?c)"]
+)
 # a value of every kind, with a zero of each number kind for the divisions
 KIND_SAMPLES = [Symbol("a"), "a", 2, 0, 2.5, 0.0]
 ANY_VALUE = st.one_of(
@@ -1015,6 +1025,11 @@ def test_explain_unknown_fact():
 def test_constructor_rejects_unknown_template():
     with pytest.raises(UnknownTemplate):
         eng("(defrule r (U) => )")
+
+
+def test_constructor_rejects_a_pattern_on_an_unknown_slot():
+    with pytest.raises(UnknownSlot):
+        eng("(deftemplate T (slot a))(defrule r (T (b 1)) => )")
 
 
 def test_constructor_rejects_duplicate_rule_names():

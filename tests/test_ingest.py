@@ -267,6 +267,17 @@ def test_replay_from_path_ends_lines_as_text_files_do(registry_s1, s1_replay_pat
     assert stats == FeedStats(records=7, facts=7)
 
 
+def test_replay_of_a_list_and_of_a_file_skip_the_same_blank_lines(tmp_path):
+    # only JSON whitespace makes a line blank; U+3000 and \x0b are not it
+    reg = load_registry(GOOD)
+    lines = [record_line(1000, "730"), "\u3000", "\x0b", " \t", record_line(3000, "740")]
+    feed = tmp_path / "feed.jsonl"
+    feed.write_bytes("\n".join(lines).encode("utf-8") + b"\n")
+    from_list = replay(lines, reg, fresh_engine(reg))
+    from_file = replay(feed, reg, fresh_engine(reg))
+    assert from_list == from_file == FeedStats(records=4, facts=2, malformed=2)
+
+
 def test_replay_speed_scales_recorded_gaps(monkeypatch):
     naps = []
     monkeypatch.setattr(time, "sleep", lambda s: naps.append(s))

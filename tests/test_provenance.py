@@ -216,6 +216,36 @@ def test_shared_versions_are_written_once():
     assert sizes[16] < 2.5 * sizes[8], sizes
 
 
+def test_a_version_reached_twice_on_one_path_is_one_node():
+    # P consumes C and A, and A was made from C: the explain walk meets C
+    # again while A still waits on it
+    engine = Engine(
+        parse_program(
+            """
+            (deftemplate X (slot n))
+            (deftemplate C (slot n))
+            (deftemplate A (slot n))
+            (deftemplate P (slot n))
+            (defrule c (X (n ?n)) => (assert (C (n ?n))))
+            (defrule a (C (n ?n)) => (assert (A (n ?n))))
+            (defrule p (C (n ?n)) (A (n ?n)) => (assert (P (n ?n))))
+            (assert (X (n 1)))
+            """
+        )
+    )
+    engine.run()
+    (p,) = engine.facts("P")
+    tree = engine.explain(p.id)
+    c, a = tree.children
+    (c_in_a,) = a.children
+    assert c_in_a is c
+    assert (c.template, a.template, c.children[0].template) == ("C", "A", "X")
+    obj = json.loads(explain_to_obj(tree))
+    c_obj, a_obj = obj["children"]
+    assert (c_obj["template"], [x["template"] for x in c_obj["children"]]) == ("C", ["X"])
+    assert a_obj["children"] == [{"fact_id": c.fact_id, "seq": c.seq, "repeat": True}]
+
+
 # ------------------------------------------------------------
 # explain answers from the snapshot
 # ------------------------------------------------------------
