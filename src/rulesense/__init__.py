@@ -31,7 +31,6 @@ from .engine import (
     DuplicateRuleName,
     Engine,
     ExplainNode,
-    FireLogEntry,
     FireLogWriter,
     MissingParameter,
     NotDerived,
@@ -43,7 +42,6 @@ from .engine import (
     ValidationFailed,
     WmView,
     WouldDuplicate,
-    firelog_to_jsonl,
     replay_firelog,
     wm_to_canonical_json,
 )
@@ -64,6 +62,6 @@ from .ingest import (
 )
 from .simulator import InvalidScenario, Lcg, Scenario, generate, load_scenario, true_traversals
 from .tracking import build_tracking_kb, load_engine, run_pipeline, shaped_query
-from .service import QueryService, ServiceConfig
+from .service import QueryService
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from . import lang
 from .engine import FireLogWriter
 from .facts import KbError
 from .ingest import check_speed, load_registry, replay
-from .service import QueryService, ServiceConfig, coerce_arg
+from .service import QueryService, coerce_arg
 from .simulator import generate, load_scenario
 from .tracking import shaped_query, start_pipeline
 
@@ -116,7 +116,7 @@ def _cmd_run(args) -> int:
         engine, reg = _load_pipeline(args, files)
         if args.serve is not None:
             host, port = args.serve
-            service = QueryService(engine, ServiceConfig(host, port, args.delay_correction))
+            service = QueryService(engine, host, port, args.delay_correction)
             bound_host, bound_port = service.start()
             print(f"serving on http://{bound_host}:{bound_port}", file=sys.stderr)
         stats = replay(

@@ -21,8 +21,12 @@ match removed at level k-1 leaves `left[k-1]` only, since `run` cancels the
 activations they were part of.
 
 Every event, a firing or one external assert, modify or retract, takes the
-next fire-log seq and makes one `FireLogEntry` from the fact versions it
-produced. The log is a sink the caller chooses: a list keeps every entry, a
+next fire-log seq. With a sink, `_event` also hands it the event's fire-log
+line: one compact JSON object, newline included, with `seq`, `rule`,
+`consumed`, `produced`, `retracted` and `ts` (a logical mutation tick, not
+wall clock), then `facts`, the content of each version it produced, which
+makes the log replayable against an empty WM, and `error` if the firing
+aborted. The sink is the caller's: a list keeps every line, a
 `FireLogWriter` streams them to a file, and None (the default) keeps
 nothing; per-rule counts are in `fire_counts` either way. Provenance lives
 on the facts, not in the log: each fact version's `why` names the rule, the
@@ -54,7 +58,7 @@ import threading
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import lang
 from .facts import (
@@ -574,27 +578,6 @@ class AssertResult:
         return f"AssertResult({'new' if self.created else 'duplicate'} {self.fact_id})"
 
 
-@dataclass(slots=True)
-class FireLogEntry:
-    """One fire (or one external mutation, rule None).
-
-    `facts` holds the content of every version the event produced, as
-    (id, template name, slot -> value dict in slot order), a dict built from
-    the version's value tuple when the entry is made; it makes the log
-    replayable against an empty WM. `ts` is a logical mutation tick, not wall
-    clock.
-    """
-
-    seq: int
-    rule: str | None
-    consumed: tuple[int, ...]
-    produced: tuple[int, ...]
-    retracted: tuple[int, ...]
-    ts: int
-    facts: tuple = ()
-    error: str | None = None
-
-
 @dataclass(frozen=True, slots=True)
 class QueryRow:
     bindings: dict
@@ -694,7 +677,7 @@ class Engine:
 
     def __init__(self, constructs: list[lang.Construct], firelog=None):
         """Validate and compile `constructs`. `firelog` is the fire-log sink,
-        any object with `append` (a list keeps every entry); None keeps none."""
+        any object with `append` (a list keeps every line); None keeps none."""
         diags = lang.validate_program(constructs)
         if diags:
             first = diags[0]
@@ -778,10 +761,11 @@ class Engine:
         """Add a fact. Equal live fact present -> Duplicate, WM unchanged."""
         fact = make_fact(self.templates.get(template), values)
         fact.why = Why(None, self._seq)
-        res = self._assert_internal(fact)
-        if res.created:
-            self._event(None, (), (fact,), ())
-        return res
+        existing = self._assert_internal(fact)
+        if existing is not None:
+            return AssertResult(existing, False)
+        self._event(None, (), (fact,), ())
+        return AssertResult(fact.id, True)
 
     def retract_fact(self, fid: int) -> None:
         self.fact(fid)  # UnknownFactId unless live
@@ -919,22 +903,31 @@ class Engine:
 
     def _event(self, rule: str | None, consumed: tuple, produced, retracted, error: str | None = None) -> None:
         """Close one event, a firing of `rule` or an external change (rule None):
-        take the next seq, which the `why` of each version it produced names."""
+        take the next seq, which the `why` of each version it produced names,
+        and hand the sink the event's fire-log line (module docstring)."""
         seq = self._seq
         self._seq += 1
-        if self._log is not None:
-            self._log(
-                FireLogEntry(
-                    seq=seq,
-                    rule=rule,
-                    consumed=consumed,
-                    produced=tuple([f.id for f in produced]),
-                    retracted=tuple(retracted),
-                    ts=self._tick,
-                    facts=tuple([(f.id, f.template.name, f.values) for f in produced]),
-                    error=error,
-                )
-            )
+        if self._log is None:
+            return
+        obj: dict = {
+            "seq": seq,
+            "rule": rule,
+            "consumed": list(consumed),
+            "produced": [f.id for f in produced],
+            "retracted": list(retracted),
+            "ts": self._tick,
+        }
+        if produced:
+            obj["facts"] = {
+                str(f.id): {
+                    "template": f.template.name,
+                    "values": {s: encode_value(v) for s, v in zip(f.template.slots, f.vals)},
+                }
+                for f in produced
+            }
+        if error:
+            obj["error"] = error
+        self._log(json.dumps(obj, separators=(",", ":")) + "\n")
 
     def _fire(self, ri: int, ids: tuple, facts: tuple) -> None:
         rule = self._rules[ri]
@@ -953,7 +946,7 @@ class Engine:
                         for i, get in slots:
                             vals[i] = _slot_value(get(env))
                         fact = Fact(t, tuple(vals), why=why)
-                        if self._assert_internal(fact).created:
+                        if self._assert_internal(fact) is None:
                             produced.append(fact)
                 elif kind == "retract":
                     for pos in step[1]:
@@ -977,14 +970,16 @@ class Engine:
 
     # ----- primitive mutations -----
 
-    def _assert_internal(self, fact: Fact) -> AssertResult:
+    def _assert_internal(self, fact: Fact) -> int | None:
+        """Assert `fact` under a fresh id, or return the id of the equal live
+        fact and leave the WM as it is."""
         existing = self._dup.get(fact.key)
         if existing is not None:
-            return AssertResult(existing, False)
+            return existing
         fid = fact.id = self._next_id
         self._next_id += 1
         self._write(fid, fact)
-        return AssertResult(fid, True)
+        return None
 
     def _modify_internal(self, fid: int, vals: tuple, why: Why) -> Fact:
         new = Fact(self._wm[fid].template, vals, id=fid, why=why)
@@ -1086,44 +1081,14 @@ def decode_value(obj: object) -> SlotValue:
     raise ValueError(f"not an encoded slot value: {obj!r}")
 
 
-def _entry_to_obj(e: FireLogEntry) -> dict:
-    obj: dict = {
-        "seq": e.seq,
-        "rule": e.rule,
-        "consumed": list(e.consumed),
-        "produced": list(e.produced),
-        "retracted": list(e.retracted),
-        "ts": e.ts,
-    }
-    if e.facts:
-        fmap = {}
-        for fid, tname, values in e.facts:
-            fmap[str(fid)] = {"template": tname, "values": {s: encode_value(v) for s, v in values.items()}}
-        obj["facts"] = fmap
-    if e.error:
-        obj["error"] = e.error
-    return obj
-
-
-def _entry_line(e: FireLogEntry) -> str:
-    return json.dumps(_entry_to_obj(e), separators=(",", ":")) + "\n"
-
-
-def firelog_to_jsonl(entries: Iterable[FireLogEntry]) -> str:
-    return "".join(_entry_line(e) for e in entries)
-
-
 class FireLogWriter:
-    """Fire-log sink that writes each entry to a text stream as one JSON line
-    the moment it is made, in the format of `firelog_to_jsonl`."""
+    """Fire-log sink that writes each line to a text stream the moment the
+    engine makes it."""
 
-    __slots__ = ("_write",)
+    __slots__ = ("append",)
 
     def __init__(self, stream):
-        self._write = stream.write
-
-    def append(self, e: FireLogEntry) -> None:
-        self._write(_entry_line(e))
+        self.append = stream.write
 
 
 def replay_firelog(jsonl: str) -> dict[int, tuple[str, dict]]:

@@ -16,6 +16,7 @@ the outcome, since the rules see the facts in assert order.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,16 +75,11 @@ def _req_str(obj: dict, key: str, where: str) -> str:
 
 
 def load_registry(source: str | Path | dict) -> Registry:
-    """Parse and validate a registry (path, JSON text, or already-parsed dict).
-
-    A `Path` is read as a file, and so is a str unless it starts (after
-    whitespace) with `{` or `[`, which is parsed as JSON text: the argument
-    decides, not what exists on disk.
-    """
+    """Parse and validate a registry: a str or Path names a JSON file, and a
+    dict is the data already parsed."""
     if isinstance(source, (str, Path)):
-        is_text = isinstance(source, str) and source.lstrip()[:1] in ("{", "[")
         try:
-            obj = json.loads(source if is_text else Path(source).read_text(encoding="utf-8"))
+            obj = json.loads(Path(source).read_text(encoding="utf-8"))
         # ValueError: bad JSON, bad UTF-8, NUL in a path; RecursionError: JSON
         # nested deeper than the decoder goes
         except (OSError, ValueError, RecursionError) as exc:
@@ -121,8 +117,10 @@ def load_registry(source: str | Path | dict) -> Registry:
         enda = _req_str(e, "enda", f"corridors[{i}]")
         endb = _req_str(e, "endb", f"corridors[{i}]")
         length = e.get("length")
-        if isinstance(length, bool) or not isinstance(length, (int, float)) or not length > 0:
-            raise MalformedRegistry(f"corridors[{i}]: length must be a number > 0")
+        # JSON reads 1e400 and Infinity as inf; an int compares exactly, so
+        # one too large for a float fails the bound too
+        if isinstance(length, bool) or not isinstance(length, (int, float)) or not 0 < length <= sys.float_info.max:
+            raise MalformedRegistry(f"corridors[{i}]: length must be a finite number > 0")
         if enda == endb:
             raise MalformedRegistry(f"corridors[{i}]: endpoints must differ")
         if (enda, endb) in seen_pair:

@@ -22,8 +22,8 @@ not fail a request.
 from __future__ import annotations
 
 import json
+import math
 import threading
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
@@ -41,22 +41,17 @@ from .facts import UnknownTemplate
 from .tracking import render_value, shaped_query
 
 
-@dataclass
-class ServiceConfig:
-    host: str = "127.0.0.1"
-    port: int = 0  # 0: ephemeral
-    delay_correction_ms: int = 0
-
-    def __post_init__(self):
-        if self.delay_correction_ms < 0:
-            raise ValueError("delay_correction_ms must be >= 0")
-
-
 def coerce_arg(s: str):
     """Query-string value to slot value: a number if it is one in the KB's own
-    syntax (`lang.parse_number`), otherwise text."""
+    syntax (`lang.parse_number`), otherwise text. ValueError if it has too
+    many digits to convert, or is a float that overflows, as JSON has no
+    text for infinity."""
     n = lang.parse_number(s)
-    return s if n is None else n
+    if n is None:
+        return s
+    if type(n) is float and not math.isfinite(n):
+        raise ValueError(f"number out of range: {s}")
+    return n
 
 
 def explain_to_obj(node: ExplainNode) -> str:
@@ -106,9 +101,13 @@ def explain_to_obj(node: ExplainNode) -> str:
 class QueryService:
     """Holds the engine, its published snapshot, and the HTTP server."""
 
-    def __init__(self, engine: Engine, config: ServiceConfig | None = None):
+    def __init__(self, engine: Engine, host: str = "127.0.0.1", port: int = 0, delay_correction_ms: int = 0):
+        """Serve `engine` on `host`:`port` (port 0: an ephemeral one), with
+        journey durations corrected by `delay_correction_ms` (>= 0)."""
+        if delay_correction_ms < 0:
+            raise ValueError("delay_correction_ms must be >= 0")
         self.engine = engine
-        self.config = config or ServiceConfig()
+        self.host, self.port, self.delay_correction_ms = host, port, delay_correction_ms
         self._lock = threading.Lock()
         self._snap = engine.snapshot()
         self._refreshes = 0
@@ -135,14 +134,14 @@ class QueryService:
         if path.startswith("/queries/"):
             qname = unquote(path[len("/queries/") :])
             try:
-                # coercion raises ValueError on a number too long to convert
+                # coercion raises ValueError on a number it cannot give as JSON
                 params = {k: coerce_arg(vs[0]) for k, vs in parse_qs(query, keep_blank_values=True).items()}
                 rows = shaped_query(
                     self.engine,
                     qname,
                     params,
                     view=snap,
-                    delay_correction_ms=self.config.delay_correction_ms,
+                    delay_correction_ms=self.delay_correction_ms,
                 )
             except UnknownQuery as exc:
                 return 404, {"error": str(exc)}
@@ -204,7 +203,7 @@ class QueryService:
             def log_message(self, *args):  # quiet
                 pass
 
-        self._server = ThreadingHTTPServer((self.config.host, self.config.port), Handler)
+        self._server = ThreadingHTTPServer((self.host, self.port), Handler)
         self._thread = threading.Thread(target=self._server.serve_forever, name="query-service", daemon=True)
         self._thread.start()
         host, port = self._server.server_address[:2]

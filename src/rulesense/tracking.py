@@ -42,13 +42,12 @@ def run_pipeline(
     reg: Registry,
     replay_source,
     kb_text: str | None = None,
-    speed: float | str = "max",
     on_cycle=None,
     firelog=None,
 ) -> tuple[Engine, FeedStats]:
     """start_pipeline, then replay the feed to quiescence."""
     engine = start_pipeline(reg, kb_text, firelog)
-    stats = replay(replay_source, reg, engine, speed=speed, on_cycle=on_cycle)
+    stats = replay(replay_source, reg, engine, on_cycle=on_cycle)
     return engine, stats
 
 

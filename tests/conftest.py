@@ -59,3 +59,9 @@ def undecodable_feed(path):
     lines = [record_line(1000, "730"), record_line(2000, "730", reader="R?1"), record_line(3000, "740")]
     path.write_bytes("\n".join(lines).encode("utf-8").replace(b"R?1", b"R\xff1") + b"\n")
     return path
+
+
+def firelog_entries(engine):
+    """The entries of an engine's fire log, kept by a list sink, each parsed
+    from its JSON line."""
+    return [json.loads(line) for line in engine.firelog]

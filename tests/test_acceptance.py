@@ -20,11 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, kb_without
+from conftest import FIXTURES, firelog_entries, kb_without
 from naive import NaiveEngine, vkey
 from rulesense import lang
 from rulesense.cli import main as cli_main
-from rulesense.engine import Engine, firelog_to_jsonl, wm_to_canonical_json
+from rulesense.engine import Engine, wm_to_canonical_json
 from rulesense.facts import Symbol
 from rulesense.ingest import load_registry
 from rulesense.simulator import Room, Scenario, Walk, Waypoint, generate, true_traversals
@@ -37,7 +37,8 @@ JOURNEY_ROWS: list[dict] = []
 
 
 def _fires(engine):
-    return [(e.rule, e.consumed) for e in engine.firelog if e.rule is not None]
+    # consumed ids as a tuple, as the naive oracle's fire sequence has them
+    return [(e["rule"], tuple(e["consumed"])) for e in firelog_entries(engine) if e["rule"] is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +520,7 @@ def test_criterion_8_determinism(tmp_path, capsys):
     reg = load_registry(FIXTURES / "registry_s1.json")
     e1, _ = run_pipeline(reg, FIXTURES / "s1_replay.jsonl", firelog=[])
     e2, _ = run_pipeline(reg, FIXTURES / "s1_replay.jsonl", firelog=[])
-    assert firelog_to_jsonl(e1.firelog) == firelog_to_jsonl(e2.firelog)
+    assert "".join(e1.firelog) == "".join(e2.firelog)
     assert wm_to_canonical_json(e1) == wm_to_canonical_json(e2)
 
     base = [

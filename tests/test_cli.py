@@ -190,6 +190,14 @@ def test_query_unknown_name_fails_cleanly(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["9" * 5000, "1e400"])
+def test_query_argument_json_cannot_hold_fails_cleanly(capsys, value):
+    # too many digits to convert, or a float that overflows to infinity
+    rc = run_cli("query", *s1_args(), "--query", "where_is", "--arg", f"name={value}")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # --- run -----------------------------------------------------------------
 
 

@@ -65,11 +65,10 @@ def test_device_index_is_built_once():
     assert reg.by_device is reg.by_device
 
 
-def test_load_registry_from_json_text_and_path(tmp_path, registry_s1):
-    assert load_registry(json.dumps(GOOD)) == load_registry(GOOD)
+def test_load_registry_from_path_and_str(tmp_path, registry_s1):
     p = tmp_path / "reg.json"
     p.write_text(json.dumps(GOOD), encoding="utf-8")
-    assert load_registry(p) == load_registry(GOOD)
+    assert load_registry(p) == load_registry(str(p)) == load_registry(GOOD)
     assert registry_s1.persons[0].deviceAddress == "A1B2"
 
 
@@ -91,6 +90,11 @@ def test_empty_registry_is_fine():
         (lambda r: r["corridors"].append({"enda": "a", "endb": "b", "length": True}), MalformedRegistry),
         (lambda r: r["corridors"].append({"enda": "a", "endb": "b", "length": "20"}), MalformedRegistry),
         (lambda r: r.update(persons={}), MalformedRegistry),
+        (lambda r: r["corridors"].append(["a", "b", 1]), MalformedRegistry),
+        # JSON reads 1e400 and Infinity as inf; a longer integer overflows float()
+        (lambda r: r["corridors"].append(json.loads('{"enda": "a", "endb": "b", "length": 1e400}')), MalformedRegistry),
+        (lambda r: r["corridors"].append(json.loads('{"enda": "a", "endb": "b", "length": Infinity}')), MalformedRegistry),
+        (lambda r: r["corridors"].append({"enda": "a", "endb": "b", "length": 10**400}), MalformedRegistry),
     ],
 )
 def test_registry_rejections(mutation, error):
@@ -100,15 +104,6 @@ def test_registry_rejections(mutation, error):
         load_registry(raw)
 
 
-def test_load_registry_from_long_json_text():
-    # longer than a file name may be: the text must not be tried as a path
-    raw = {"persons": [{"name": f"P{i}", "deviceAddress": f"D{i:04d}"} for i in range(20)], "corridors": []}
-    text = json.dumps(raw)
-    assert len(text) > 255 and "/" not in text
-    assert load_registry(text) == load_registry(raw)
-    assert load_registry("  \n" + text) == load_registry(raw)
-
-
 def test_registry_file_that_is_not_utf8(tmp_path):
     p = tmp_path / "reg.json"
     p.write_bytes(b'{"persons": [{"name": "P\xff", "deviceAddress": "D1"}]}')
@@ -116,16 +111,24 @@ def test_registry_file_that_is_not_utf8(tmp_path):
         load_registry(p)
 
 
-def test_registry_nested_too_deep():
+def test_registry_nested_too_deep(tmp_path):
+    p = tmp_path / "reg.json"
+    p.write_text('{"a":' * 1000 + "1" + "}" * 1000, encoding="utf-8")
     with pytest.raises(MalformedRegistry):
-        load_registry('{"a":' * 1000 + "1" + "}" * 1000)
+        load_registry(p)
 
 
-def test_registry_garbage_sources():
+def test_registry_garbage_sources(tmp_path):
     with pytest.raises(MalformedRegistry):
-        load_registry("this is not json and not a path")
-    with pytest.raises(MalformedRegistry):
-        load_registry('["top", "level", "array"]')
+        load_registry(tmp_path / "missing.json")
+    # JSON text is no registry source: a str names a file
+    with pytest.raises(MalformedRegistry, match="unreadable"):
+        load_registry(json.dumps(GOOD))
+    p = tmp_path / "reg.json"
+    for text in ("this is not json", '["top", "level", "array"]'):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedRegistry):
+            load_registry(p)
 
 
 def test_initial_facts_order_and_shape():

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from rulesense.facts import Symbol
-from rulesense.service import QueryService, ServiceConfig, coerce_arg
+from rulesense.engine import Engine
+from rulesense.service import QueryService, coerce_arg
 from rulesense.tracking import run_pipeline
 
 
@@ -56,6 +57,9 @@ def test_query_endpoint_parameter_errors(served):
     # a number in KB syntax too long for Python to convert
     status, body = get(port, "/queries/where_is?name=" + "9" * 5000)
     assert status == 400 and "digits" in body["error"]
+    # a number that overflows to infinity, which JSON cannot write
+    status, body = get(port, "/queries/where_is?name=1e400")
+    assert status == 400 and "1e400" in body["error"]
 
 
 def test_query_endpoint_unknown_query(served):
@@ -112,6 +116,22 @@ def test_unknown_route(served):
     assert status == 404
 
 
+def test_a_failing_handler_answers_500_and_the_server_goes_on(served, monkeypatch):
+    svc, port, _ = served
+    handle = svc.handle
+
+    def broken(path, query):
+        if path == "/boom":
+            raise RuntimeError("boom")
+        return handle(path, query)
+
+    monkeypatch.setattr(svc, "handle", broken)
+    status, body = get(port, "/boom")
+    assert status == 500 and body == {"error": "RuntimeError: boom"}
+    status, body = get(port, "/queries/where_is?name=Pete")
+    assert status == 200 and body["results"][0]["location"] == "740"
+
+
 def test_snapshot_isolation_until_refresh(served):
     svc, port, engine = served
     status, rows = get(port, "/facts?template=MobileTrace")
@@ -132,7 +152,7 @@ def test_snapshot_isolation_until_refresh(served):
 
 def test_delay_correction_config(registry_s1, s1_replay_path):
     engine, _ = run_pipeline(registry_s1, s1_replay_path)
-    svc = QueryService(engine, ServiceConfig(delay_correction_ms=1500))
+    svc = QueryService(engine, delay_correction_ms=1500)
     try:
         _, body = get(svc.start()[1], "/queries/find_journeys?name=Pete")
         assert [r["corrected_tTaken"] for r in body["results"]] == [1000, 1000]
@@ -142,7 +162,7 @@ def test_delay_correction_config(registry_s1, s1_replay_path):
 
 def test_service_config_rejects_negative_correction():
     with pytest.raises(ValueError):
-        ServiceConfig(delay_correction_ms=-1)
+        QueryService(Engine([]), delay_correction_ms=-1)
 
 
 def test_coerce_arg_types():
@@ -154,6 +174,10 @@ def test_coerce_arg_types():
     # only the KB's own number syntax becomes a number
     for text in ("nan", "Infinity", "1_000", " 5"):
         assert coerce_arg(text) == text
+    assert coerce_arg("1" + "0" * 400) == 10**400  # a long integer is still finite
+    for text in ("1e400", "-1e400"):
+        with pytest.raises(ValueError):
+            coerce_arg(text)
 
 
 def test_stop_is_idempotent(registry_s1, s1_replay_path):

@@ -114,7 +114,7 @@ def test_load_scenario_resolves_registry_relative_to_file():
         (lambda o: o["rooms"].append({"code": "730", "has_locator": True}), "duplicate"),
         (lambda o: o["rooms"].append({"code": "750"}), "has_locator"),
         (lambda o: o["rooms"].append({"code": "750", "has_locator": True, "bt_reader": 1}), "bt_reader"),
-        (lambda o: o.pop("walks"), "walks"),
+        (lambda o: o.__delitem__("walks"), "walks"),
         (lambda o: o["walks"].append({"person": "Ghost", "waypoints": []}), "Ghost"),
         (lambda o: o["walks"].append({"person": "Maya", "waypoints": []}), "waypoints"),
         (lambda o: o["walks"][0]["waypoints"].append({"location": "999", "arrive_t": 20000, "depart_t": 21000}), "999"),
@@ -126,11 +126,16 @@ def test_load_scenario_resolves_registry_relative_to_file():
         (lambda o: o.update(los_probability=True), "los_probability"),
         (lambda o: o.update(seed="x"), "seed"),
         (lambda o: o.update(bt_interval_ms=0), "bt_interval_ms"),
+        (lambda o: [o], "top level must be a JSON object"),
+        (lambda o: o["rooms"].append("750"), "rooms[2]: must be an object"),
+        (lambda o: o["walks"].append("Maya"), "walks[1]: must be an object"),
+        (lambda o: o["walks"][0]["waypoints"].append("730"), "waypoints[2]: must be an object"),
     ],
 )
 def test_scenario_rejections(mutation, needle):
+    # a mutation changes the scenario in place, or returns its replacement
     obj = base_scenario_obj()
-    mutation(obj)
+    obj = mutation(obj) or obj
     with pytest.raises(InvalidScenario) as ei:
         load_scenario(obj, registry=REG)
     assert needle in str(ei.value)

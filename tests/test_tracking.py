@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import kb_without, record_line, undecodable_feed
+from conftest import firelog_entries, kb_without, record_line, undecodable_feed
 from rulesense import lang
 from rulesense.facts import Symbol
 from rulesense.tracking import (
@@ -115,10 +115,9 @@ def test_zero_time_traversal_is_no_journey_and_no_error(registry_s1):
         record_line(T0 + 4000, "730"),
         record_line(T0 + 8000, "740"),
     ]
-    log = []
-    engine, stats = run_pipeline(registry_s1, lines, firelog=log)
+    engine, stats = run_pipeline(registry_s1, lines, firelog=[])
     assert stats.facts == 4
-    assert [e.error for e in log if e.error is not None] == []
+    assert [e["error"] for e in firelog_entries(engine) if "error" in e] == []
     assert shaped_query(engine, "find_journeys", {"name": "Pete"}) == []
     assert engine.fire_counts["find_corridor_events"] == 0
 
