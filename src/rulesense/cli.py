@@ -60,11 +60,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--kb", default=None, help="KB file (default: the shipped tracking KB)")
         sp.add_argument("--registry", required=True)
         sp.add_argument("--replay", required=True)
-        sp.add_argument("--speed", type=_speed, default="max")
         sp.add_argument("--delay-correction", type=int, default=0, metavar="MS")
 
     sr = sub.add_parser("run", help="replay a feed through the engine")
     pipeline_args(sr)
+    sr.add_argument("--speed", type=_speed, default="max")
     sr.add_argument("--serve", type=_hostport, default=None, metavar="HOST:PORT")
     sr.add_argument("--firelog", default=None, metavar="FILE")
 
@@ -142,7 +142,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_query(args) -> int:
     engine, reg = _load_pipeline(args)
-    replay(args.replay, reg, engine, speed=args.speed)
+    replay(args.replay, reg, engine)
     params = {k: coerce_arg(v) for k, v in args.arg}
     rows = shaped_query(
         engine,

@@ -214,12 +214,6 @@ class Fact:
         """A new slot -> value dict in slot order; for cold paths only."""
         return dict(zip(self.template.slots, self.vals))
 
-    def value(self, slot: str) -> SlotValue:
-        try:
-            return self.vals[self.template.slots.index(slot)]
-        except ValueError:
-            raise UnknownSlot(f"template {self.template.name} has no slot {slot}") from None
-
     def __repr__(self) -> str:
         inner = " ".join(f"({s} {v!r})" for s, v in zip(self.template.slots, self.vals))
         tag = f"f-{self.id}" if self.id is not None else "f-?"

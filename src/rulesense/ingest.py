@@ -74,18 +74,21 @@ def _req_str(obj: dict, key: str, where: str) -> str:
     return v
 
 
+def read_json(path: str | Path, error: type[KbError], what: str) -> object:
+    """The JSON document in the file at `path`. A file that cannot be read or
+    decoded raises `error`, its message "unreadable <what>: <cause>"."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    # ValueError: bad JSON, bad UTF-8, NUL in a path; RecursionError: JSON
+    # nested deeper than the decoder goes
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"unreadable {what}: {exc}") from None
+
+
 def load_registry(source: str | Path | dict) -> Registry:
     """Parse and validate a registry: a str or Path names a JSON file, and a
     dict is the data already parsed."""
-    if isinstance(source, (str, Path)):
-        try:
-            obj = json.loads(Path(source).read_text(encoding="utf-8"))
-        # ValueError: bad JSON, bad UTF-8, NUL in a path; RecursionError: JSON
-        # nested deeper than the decoder goes
-        except (OSError, ValueError, RecursionError) as exc:
-            raise MalformedRegistry(f"unreadable registry: {exc}") from None
-    else:
-        obj = source
+    obj = read_json(source, MalformedRegistry, "registry") if isinstance(source, (str, Path)) else source
     if not isinstance(obj, dict):
         raise MalformedRegistry("top level must be a JSON object")
     raw_persons = obj.get("persons", [])

@@ -2,7 +2,8 @@
 
 A strict CLIPS-style subset: deftemplate with simple slots, defrule with an
 optional salience declaration, defquery with declared parameters, and
-top-level assert. Slot constraints are a literal or a single variable;
+top-level assert, which parses to the same AssertAction a rule's right-hand
+side holds. Slot constraints are a literal or a single variable;
 connective constraints and not/exists/or condition elements are out of scope.
 
 The lexer is one regular expression with a named alternative per token kind.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .facts import DuplicateSlot, KbError, Symbol, SlotValue, TemplateRegistry
@@ -230,7 +231,6 @@ Action = AssertAction | RetractAction | ModifyAction | BindAction
 class TemplateDef:
     name: str
     slots: tuple  # of str
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -239,7 +239,6 @@ class RuleDef:
     salience: int
     lhs: tuple  # of ConditionElement
     rhs: tuple  # of Action
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -247,16 +246,9 @@ class QueryDef:
     name: str
     parameters: tuple  # of str
     lhs: tuple  # of ConditionElement
-    line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True, slots=True)
-class TopLevelAssert:
-    facts: tuple  # of AssertSpec
-    line: int = field(default=0, compare=False)
-
-
-Construct = TemplateDef | RuleDef | QueryDef | TopLevelAssert
+Construct = TemplateDef | RuleDef | QueryDef | AssertAction
 
 
 # ============================================================
@@ -310,21 +302,20 @@ class _Parser:
         return out
 
     def construct(self) -> Construct:
-        lp = self.expect(LP, "(")
-        head = self.peek()
-        if head.kind != SYM:
-            raise self.fail("deftemplate, defrule, defquery, or assert", head)
-        if head.value == "deftemplate":
-            return self.template_def(lp)
-        if head.value == "defrule":
-            return self.rule_def(lp)
-        if head.value == "defquery":
-            return self.query_def(lp)
-        if head.value == "assert":
-            return self.top_assert(lp)
+        head = self.peek(1)
+        word = head.value if head.kind == SYM else None
+        if word == "assert":
+            return self.action()  # the node a rule's right-hand side holds
+        self.expect(LP, "(")
+        if word == "deftemplate":
+            return self.template_def()
+        if word == "defrule":
+            return self.rule_def()
+        if word == "defquery":
+            return self.query_def()
         raise self.fail("deftemplate, defrule, defquery, or assert", head)
 
-    def template_def(self, lp: Token) -> TemplateDef:
+    def template_def(self) -> TemplateDef:
         self.next()  # deftemplate
         name = self.expect(SYM, "template name")
         slots: list[str] = []
@@ -334,9 +325,9 @@ class _Parser:
             slots.append(self.expect(SYM, "slot name").value)
             self.expect(RP, ")")
         self.expect(RP, ")")
-        return TemplateDef(name.value, tuple(slots), line=lp.line)
+        return TemplateDef(name.value, tuple(slots))
 
-    def rule_def(self, lp: Token) -> RuleDef:
+    def rule_def(self) -> RuleDef:
         self.next()  # defrule
         name = self.expect(SYM, "rule name")
         salience = 0
@@ -352,7 +343,7 @@ class _Parser:
         while self.peek().kind != RP:
             rhs.append(self.action())
         self.next()  # )
-        return RuleDef(name.value, salience, tuple(lhs), tuple(rhs), line=lp.line)
+        return RuleDef(name.value, salience, tuple(lhs), tuple(rhs))
 
     def _at_declare(self) -> bool:
         return (
@@ -371,7 +362,7 @@ class _Parser:
         self.expect(RP, ")")
         return t.value
 
-    def query_def(self, lp: Token) -> QueryDef:
+    def query_def(self) -> QueryDef:
         self.next()  # defquery
         name = self.expect(SYM, "query name")
         self.expect(LP, "(")
@@ -389,13 +380,7 @@ class _Parser:
         while self.peek().kind != RP:
             lhs.append(self.condition_element())
         self.next()  # )
-        return QueryDef(name.value, tuple(params), tuple(lhs), line=lp.line)
-
-    def top_assert(self, lp: Token) -> TopLevelAssert:
-        self.next()  # assert
-        facts = self.assert_specs()
-        self.expect(RP, ")")
-        return TopLevelAssert(tuple(facts), line=lp.line)
+        return QueryDef(name.value, tuple(params), tuple(lhs))
 
     # ---- condition elements
 
@@ -588,8 +573,8 @@ def format_construct(c: Construct) -> str:
         lines.append("  (declare (variables " + " ".join(f"?{p}" for p in c.parameters) + "))")
         lines += [f"  {_fmt_ce(ce)}" for ce in c.lhs]
         return "\n".join(lines) + ")"
-    if isinstance(c, TopLevelAssert):
-        return _fmt_action(AssertAction(c.facts))
+    if isinstance(c, AssertAction):
+        return _fmt_action(c)
     raise TypeError(f"not a construct: {c!r}")
 
 
@@ -766,7 +751,7 @@ def validate_program(constructs: list[Construct]) -> list[Diagnostic]:
                 diags.append(Diagnostic("duplicate-rule", c.name, f"name {c.name} redefined"))
             rule_names.add(c.name)
             diags.extend(validate_query(c, registry))
-        elif isinstance(c, TopLevelAssert):
+        elif isinstance(c, AssertAction):
             for spec in c.facts:
                 _check_slots("(assert)", spec.template, spec.slots, registry, diags)
                 for _, e in spec.slots:

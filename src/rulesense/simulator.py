@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .facts import KbError
-from .ingest import Registry, load_registry
+from .ingest import MAX_T, Registry, load_registry, read_json
 
 
 class InvalidScenario(KbError):
@@ -88,16 +88,10 @@ def load_scenario(source: str | Path | dict, registry: Registry | None = None) -
     The scenario's "registry" field is a path, resolved relative to the
     scenario file's directory.
     """
-    base = Path(".")
+    base, obj = Path("."), source
     if isinstance(source, (str, Path)):
-        p = Path(source)
-        base = p.parent
-        try:
-            obj = json.loads(p.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidScenario(f"unreadable scenario: {exc}") from None
-    else:
-        obj = source
+        base = Path(source).parent
+        obj = read_json(source, InvalidScenario, "scenario")
     if not isinstance(obj, dict):
         raise InvalidScenario("top level must be a JSON object")
 
@@ -158,6 +152,8 @@ def load_scenario(source: str | Path | dict, registry: Registry | None = None) -
             depart = _int_field(wp, "depart_t", where, minimum=0)
             if depart < arrive:
                 raise InvalidScenario(f"{where}: depart_t before arrive_t")
+            if depart > MAX_T:
+                raise InvalidScenario(f"{where}: depart_t past {MAX_T}, the last time a feed record can carry")
             if wps and arrive < wps[-1].depart_t:
                 raise InvalidScenario(f"{where}: overlaps previous waypoint")
             wps.append(Waypoint(loc, arrive, depart))

@@ -61,6 +61,17 @@ def undecodable_feed(path):
     return path
 
 
+def unreadable_scenarios(directory):
+    """Write two scenario files into `directory` that the JSON decoder cannot
+    read, one nested deeper than it goes and one that is not UTF-8, and
+    return their paths."""
+    deep = directory / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    latin = directory / "latin.json"
+    latin.write_bytes(b'{"rooms": "\xe9"}')
+    return [deep, latin]
+
+
 def firelog_entries(engine):
     """The entries of an engine's fire log, kept by a list sink, each parsed
     from its JSON line."""

@@ -25,7 +25,6 @@ from rulesense.lang import (
     RuleDef,
     TemplateDef,
     Test,
-    TopLevelAssert,
     Var,
 )
 
@@ -77,8 +76,11 @@ assert_specs = st.builds(
     AssertSpec, names, st.lists(st.tuples(names, exprs), max_size=3).map(tuple)
 )
 
+# an RHS assert and a top-level one are the same node
+asserts = st.builds(AssertAction, st.lists(assert_specs, min_size=1, max_size=2).map(tuple))
+
 actions = st.one_of(
-    st.builds(AssertAction, st.lists(assert_specs, min_size=1, max_size=2).map(tuple)),
+    asserts,
     st.builds(RetractAction, st.lists(names, min_size=1, max_size=3).map(tuple)),
     st.builds(ModifyAction, names, st.lists(st.tuples(names, exprs), min_size=1, max_size=2).map(tuple)),
     st.builds(BindAction, names, exprs),
@@ -101,8 +103,4 @@ queries = st.builds(
     st.lists(condition_elements, max_size=3).map(tuple),
 )
 
-top_asserts = st.builds(
-    TopLevelAssert, st.lists(assert_specs, min_size=1, max_size=2).map(tuple)
-)
-
-programs = st.lists(st.one_of(templates, rules, queries, top_asserts), max_size=6)
+programs = st.lists(st.one_of(templates, rules, queries, asserts), max_size=6)

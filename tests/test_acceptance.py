@@ -54,7 +54,7 @@ def test_criterion_1_canonical_walk():
     tracked = engine.facts("was-tracked")
     assert len(tracked) == 2
     assert all(
-        str(f.value("endA")) == "730" and str(f.value("endB")) == "740" for f in tracked
+        str(f.values["endA"]) == "730" and str(f.values["endB"]) == "740" for f in tracked
     )
     loose, _ = run_pipeline(
         reg, FIXTURES / "s1_replay.jsonl", kb_text=kb_without("drop_cyclic_journeys")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, kb_without, undecodable_feed
+from conftest import FIXTURES, kb_without, undecodable_feed, unreadable_scenarios
 from rulesense.cli import _build_parser, main
 from rulesense.tracking import build_tracking_kb
 
@@ -107,6 +107,7 @@ def test_parse_prints_diagnostics_in_source_order_under_any_hash_seed(tmp_path):
         ["run", "--registry", "r", "--replay", "f", "--serve", "127.0.0.1:70000"],
         ["run", "--registry", "r", "--replay", "f", "--serve", "127.0.0.1:-1"],
         ["run", "--registry", "r", "--replay", "f", "--serve", "127.0.0.1:abc"],
+        ["query", "--registry", "r", "--replay", "f", "--query", "q", "--speed", "2"],  # run only
     ],
 )
 def test_usage_errors_exit_2(argv):
@@ -326,6 +327,17 @@ def test_sim_missing_scenario(tmp_path, capsys):
     )
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_sim_reports_a_scenario_the_decoder_cannot_read(tmp_path, capsys):
+    for path in unreadable_scenarios(tmp_path):
+        rc = run_cli(
+            "sim", "--scenario", str(path),
+            "--out", str(tmp_path / "o"), "--truth", str(tmp_path / "t"),
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreadable scenario: ") and "Traceback" not in err
 
 
 # --- docs ----------------------------------------------------------------

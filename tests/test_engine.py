@@ -243,8 +243,8 @@ def test_modify_collision_raises_and_changes_nothing():
     b = e.assert_fact("Item", {"kind": Symbol("a"), "n": 2}).fact_id
     with pytest.raises(WouldDuplicate):
         e.modify_fact(b, {"n": 1})
-    assert e.fact(a).value("n") == 1
-    assert e.fact(b).value("n") == 2
+    assert e.fact(a).values["n"] == 1
+    assert e.fact(b).values["n"] == 2
 
 
 def test_bad_template_name_raises():
@@ -269,7 +269,7 @@ def test_basic_fire_produces_fact():
     (entry,) = [x for x in firelog_entries(e) if x["rule"] == "finish"]
     assert entry["consumed"] == [fid]
     assert len(entry["produced"]) == 1
-    assert e.fact(entry["produced"][0]).value("kind") == Symbol("a")
+    assert e.fact(entry["produced"][0]).values["kind"] == Symbol("a")
 
 
 def test_refraction_blocks_refire():
@@ -360,9 +360,9 @@ def test_run_limit_leaves_rest_on_agenda():
     )
     e.assert_fact("C", {"n": 0})
     assert e.run(limit=2) == 2
-    assert e.fact(1).value("n") == 2
+    assert e.fact(1).values["n"] == 2
     assert e.run() == 3
-    assert e.fact(1).value("n") == 5
+    assert e.fact(1).values["n"] == 5
 
 
 def test_zero_pattern_rule_fires_once_at_startup():
@@ -374,13 +374,13 @@ def test_zero_pattern_rule_fires_once_at_startup():
         """
     )
     assert e.run() == 1
-    assert [f.value("kind") for f in e.facts("Done")] == [Symbol("start")]
+    assert [f.values["kind"] for f in e.facts("Done")] == [Symbol("start")]
     assert e.run() == 0
 
 
 def test_top_level_asserts_seed_wm_and_log():
     e = eng(ITEMS + '(assert (Item (kind seed) (n 9)))')
-    assert [f.value("kind") for f in e.facts("Item")] == [Symbol("seed")]
+    assert [f.values["kind"] for f in e.facts("Item")] == [Symbol("seed")]
     first = firelog_entries(e)[0]
     assert first["rule"] is None and first["produced"] == [1]
     assert e.run() == 1
@@ -407,7 +407,7 @@ def test_three_way_join_in_every_assert_order():
             e.assert_fact(tname, vals)
         e.run()
         (d,) = e.facts("D2")
-        assert (d.value("x"), d.value("y")) == (1, 2)
+        assert (d.values["x"], d.values["y"]) == (1, 2)
 
 
 def test_join_requires_consistent_values():
@@ -446,7 +446,7 @@ def test_repeated_variable_inside_one_pattern():
     e.assert_fact("Pair", {"x": 1, "y": 1.0})  # int vs float: no match
     e.assert_fact("Pair", {"x": 2, "y": 2})
     e.run()
-    assert [f.value("x") for f in e.facts("Eq2")] == [2]
+    assert [f.values["x"] for f in e.facts("Eq2")] == [2]
 
 
 @pytest.mark.parametrize("churn", ["retract", "modify"])
@@ -541,7 +541,7 @@ KINDS = """
 
 def _hits(e):
     e.run()
-    return sorted((h.value("l"), h.value("r")) for h in e.facts("Hit"))
+    return sorted((h.values["l"], h.values["r"]) for h in e.facts("Hit"))
 
 
 def test_float_identity_is_bitwise():
@@ -628,7 +628,7 @@ def test_rhs_error_aborts_but_keeps_prior_effects():
     assert e.run() == 1
     (entry,) = [x for x in firelog_entries(e) if x["rule"] == "bad"]
     assert "RuntimeEvalError" in entry["error"]
-    assert [f.value("kind") for f in e.facts("Done")] == [Symbol("a")]
+    assert [f.values["kind"] for f in e.facts("Done")] == [Symbol("a")]
 
 
 def test_double_retract_of_same_address_aborts():
@@ -658,7 +658,7 @@ def test_rule_level_modify_collision_is_logged_not_raised():
     e.run()
     (entry,) = [x for x in firelog_entries(e) if x["rule"] == "clash"]
     assert "WouldDuplicate" in entry["error"]
-    assert e.fact(b).value("n") == 2  # failed modify left the fact alone
+    assert e.fact(b).values["n"] == 2  # failed modify left the fact alone
 
 
 @pytest.mark.parametrize(

@@ -206,14 +206,6 @@ def test_fact_equality_ignores_ids():
     assert f1.key != f3.key  # Integer 1 vs Float 1.0
 
 
-def test_fact_value_access():
-    t = Template("T", ("a",))
-    f = make_fact(t, {"a": Symbol("x")})
-    assert f.value("a") == Symbol("x")
-    with pytest.raises(UnknownSlot):
-        f.value("b")
-
-
 @given(v=floats)
 def test_float_key_distinguishes_bit_patterns(v):
     # 0.0 and -0.0 are different slot values on purpose: the key is the bit

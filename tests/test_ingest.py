@@ -343,8 +343,8 @@ def test_replay_counts_a_line_nested_too_deep():
     assert stats.malformed == 1
     assert stats.facts == 1
     assert stats.consistent()
-    (cur,) = [f for f in e.facts("is-currently-at") if f.value("name") == "Pete"]
-    assert cur.value("location") == Symbol("730")
+    (cur,) = [f for f in e.facts("is-currently-at") if f.values["name"] == "Pete"]
+    assert cur.values["location"] == Symbol("730")
 
 
 _JSON = st.recursive(

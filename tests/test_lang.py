@@ -36,7 +36,6 @@ from rulesense.lang import (
     RuleDef,
     TemplateDef,
     Test as CeTest,
-    TopLevelAssert,
     Var,
     format_construct,
     format_program,
@@ -222,7 +221,7 @@ def test_parse_structure():
             ("d",),
             (Pattern("Alarm", (("device", Var("d")), ("level", Var("lvl")))),),
         ),
-        TopLevelAssert(
+        AssertAction(
             (AssertSpec("Reading", (("device", Literal("a")), ("value", Literal(120)), ("t", Literal(0)))),),
         ),
     ]
@@ -304,7 +303,7 @@ def test_rule_nested_at_the_limit_loads_and_fires():
     e = Engine(parse_program(_nested_rule(MAX_NESTING)), firelog=[])
     e.assert_fact("A", {"n": 1})
     assert e.run() == 1
-    assert [f.value("n") for f in e.facts("B")] == [MAX_NESTING]
+    assert [f.values["n"] for f in e.facts("B")] == [MAX_NESTING]
 
 
 _KB_WORDS = (
@@ -339,7 +338,7 @@ def test_shipped_kb_round_trips_and_validates(kb_constructs):
 
 
 def test_string_literal_formatting_escapes():
-    c = TopLevelAssert((AssertSpec("T", (("s", Literal('a"b\\c\nd')),)),))
+    c = AssertAction((AssertSpec("T", (("s", Literal('a"b\\c\nd')),)),))
     (back,) = parse_program(format_construct(c))
     assert back == c
 

@@ -30,7 +30,6 @@ from rulesense.lang import (
     RetractAction,
     RuleDef,
     TemplateDef,
-    TopLevelAssert,
     Var,
 )
 from test_acceptance import _canon_engine_wm, _canon_rows, _fires
@@ -160,7 +159,7 @@ def _programs(draw):
         for _ in range(draw(st.integers(0, 4)))
     ]
     if initial:
-        constructs.append(TopLevelAssert(tuple(initial)))
+        constructs.append(AssertAction(tuple(initial)))
     return constructs
 
 

@@ -159,7 +159,7 @@ def test_deep_assert_chain_explains_in_full(serve):
     )
     engine.run()
     last = engine.facts("N")[-1]
-    assert last.value("n") == 3000
+    assert last.values["n"] == 3000
     _, port = serve(engine)
     limit = sys.getrecursionlimit()
     status, data = get_raw(port, f"/explain/{last.id}")
@@ -194,7 +194,7 @@ def test_shared_versions_are_written_once():
     sizes = {}
     for n in (8, 16):
         engine = _step_engine(n)
-        (top,) = [f for f in engine.facts("A") if f.value("n") == n]
+        (top,) = [f for f in engine.facts("A") if f.values["n"] == n]
         text = explain_to_obj(engine.explain(top.id))
         sizes[n] = len(text)
         # every inner version in full once, each later occurrence a stub

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
-from rulesense.ingest import load_registry
+from conftest import FIXTURES, unreadable_scenarios
+from rulesense.ingest import MAX_T, load_registry
 from rulesense.simulator import (
     InvalidScenario,
     Lcg,
@@ -19,6 +19,7 @@ from rulesense.simulator import (
     load_scenario,
     true_traversals,
 )
+from rulesense.tracking import run_pipeline, shaped_query
 
 REG = load_registry(
     {
@@ -151,6 +152,27 @@ def test_scenario_requires_registry_reference():
 def test_scenario_unreadable_path():
     with pytest.raises(InvalidScenario):
         load_scenario("/nonexistent/scenario.json")
+
+
+def test_scenario_the_decoder_cannot_read_is_invalid(tmp_path):
+    for path in unreadable_scenarios(tmp_path):
+        with pytest.raises(InvalidScenario, match="^unreadable scenario: "):
+            load_scenario(path)
+
+
+def test_walk_may_end_at_max_t_and_no_later():
+    obj = base_scenario_obj()
+    for wp in obj["walks"][0]["waypoints"]:  # 730 then 740, ending at 12000
+        wp["arrive_t"] += MAX_T - 12000
+        wp["depart_t"] += MAX_T - 12000
+    s = load_scenario(obj, registry=REG)
+    engine, stats = run_pipeline(REG, generate(s)[0].splitlines())
+    assert stats.malformed == 0
+    (row,) = shaped_query(engine, "find_journeys", {"name": "Pete"})
+    assert (row["endA"], row["endB"], row["tFinish"]) == ("730", "740", MAX_T - 4000)
+    obj["walks"][0]["waypoints"][1]["depart_t"] = MAX_T + 8000
+    with pytest.raises(InvalidScenario, match=r"waypoints\[1\]: depart_t past"):
+        load_scenario(obj, registry=REG)
 
 
 # ------------------------------------------------------------

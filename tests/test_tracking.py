@@ -70,8 +70,8 @@ def test_s1_quiescent_working_memory(registry_s1, s1_replay_path):
     assert engine.facts("MobileTrace") == []
     assert engine.facts("is-seen-at") == []
     (cur,) = engine.facts("is-currently-at")
-    assert cur.value("location") == Symbol("740")
-    assert cur.value("tStart") == T0 + 12000
+    assert cur.values["location"] == Symbol("740")
+    assert cur.values["tStart"] == T0 + 12000
 
 
 def test_s1_where_is(registry_s1, s1_replay_path):
